@@ -71,8 +71,8 @@ def _get(block: dict, key: str, kind, default, where: str, *, required: bool = F
         v = float(v)
     if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
         raise ConfigError(f"key '{key}' in {where} must be an integer")
-    if kind is float and not isinstance(v, float):
-        raise ConfigError(f"key '{key}' in {where} must be a number")
+    if kind is float and not (isinstance(v, float) and math.isfinite(v)):
+        raise ConfigError(f"key '{key}' in {where} must be a finite number")
     if kind is str and not isinstance(v, str):
         raise ConfigError(f"key '{key}' in {where} must be a string")
     return v
@@ -380,6 +380,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
+    if not all(map(math.isfinite, (args.sigma, args.delta, args.nu, args.C1, args.C2))):
+        raise ConfigError("sigma, delta, nu, C1 and C2 must be finite")
     if args.k < 1 or args.d < 2:
         raise ConfigError("need k >= 1 and d >= 2")
     if not 0.0 < args.delta < 1.0:

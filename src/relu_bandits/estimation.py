@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError
 from .relu_model import NORM_TOL, ReluNetwork
@@ -134,49 +133,54 @@ def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 def fit_erm(data, k: int, cfg: FitConfig) -> ReluNetwork:
     """Best-of-restarts projected gradient descent on the empirical loss.
 
-    Rows are renormalized to the unit sphere after every step; the ReLU
-    subgradient at the kink is taken as 0 (g'(z) = 1{z > 0}).  Restarts whose
-    loss goes non-finite are discarded; ties in final loss keep the earliest
-    restart.  Raises FitError if every restart is discarded.
+    The restarts descend together as one (R, k, d) stack, their initial rows
+    drawn restart by restart from one generator seeded with ``cfg.seed``.
+    Each step renormalizes rows to the unit sphere; the ReLU subgradient at
+    the kink is 0 (g'(z) = 1{z > 0}).  A restart freezes once its gradient
+    norm is at most ``cfg.tol`` and is discarded once its loss goes
+    non-finite; a row that collapses onto the origin is redrawn in place,
+    from the same generator after all initial draws.  Otherwise each restart
+    does the arithmetic of a lone descent, so the result equals running them
+    one after another.  The earliest restart with the smallest finite final
+    loss (``np.mean``) wins.  Raises FitError if every restart is discarded.
     """
     if k < 1:
         raise ValueError("k must be positive")
     X, y = _stack_samples(data)
-    n = X.shape[0]
+    n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
-    best_loss = math.inf
-    best_w = None
-    for _ in range(cfg.restarts):
-        w = _unit_rows(rng, k, X.shape[1])
-        diverged = False
-        for _ in range(cfg.max_iters):
-            p = w @ X.T  # (k, n)
-            resid = np.where(p >= 0.0, p, 0.0).sum(axis=0) - y
-            loss = float(np.mean(resid * resid))
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            grad = (2.0 / n) * (((p > 0.0) * resid) @ X)  # (k, d)
-            if float(np.sqrt((grad * grad).sum())) <= cfg.tol:
-                break
-            w = w - cfg.step_size * grad
-            norms = np.linalg.norm(w, axis=1, keepdims=True)
-            small = norms[:, 0] < 1e-12
-            if small.any():  # a row collapsed onto the origin; restart it in place
-                w[small] = _unit_rows(rng, int(small.sum()), X.shape[1])
-                norms = np.linalg.norm(w, axis=1, keepdims=True)
-            w = w / norms
-        if diverged:
-            continue
-        p = w @ X.T
-        resid = np.where(p >= 0.0, p, 0.0).sum(axis=0) - y
-        final_loss = float(np.mean(resid * resid))
-        if math.isfinite(final_loss) and final_loss < best_loss:
-            best_loss = final_loss
-            best_w = w
-    if best_w is None:
+    W = np.stack([_unit_rows(rng, k, d) for _ in range(cfg.restarts)])
+    finite = np.ones(cfg.restarts, dtype=bool)  # cleared when a restart's loss goes non-finite
+    live, w = np.arange(cfg.restarts), W.copy()  # the restarts still descending, and their rows
+    for _ in range(cfg.max_iters):
+        p = w @ X.T  # (L, k, n); the stacked matmul makes each restart's own BLAS call
+        resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
+        bad = ~np.isfinite((resid * resid).sum(axis=1))  # the sum np.mean takes: finite just when the loss is
+        if bad.any():
+            finite[live[bad]] = False
+            live, w, p, resid = live[~bad], w[~bad], p[~bad], resid[~bad]
+        grad = (2.0 / n) * (((p > 0.0) * resid[:, None, :]) @ X)  # (L, k, d)
+        done = np.sqrt((grad * grad).reshape(len(live), k * d).sum(axis=1)) <= cfg.tol
+        if done.any():
+            W[live[done]] = w[done]
+            live, w, grad = live[~done], w[~done], grad[~done]
+        if not live.size:
+            break
+        w = w - cfg.step_size * grad
+        norms = np.linalg.norm(w, axis=2, keepdims=True)
+        small = norms[..., 0] < 1e-12
+        if small.any():  # a row collapsed onto the origin; restart it in place
+            w[small] = _unit_rows(rng, int(small.sum()), d)
+            norms = np.linalg.norm(w, axis=2, keepdims=True)
+        w = w / norms
+    W[live] = w
+    p = W @ X.T
+    resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
+    loss = np.mean(resid * resid, axis=1)
+    loss[~(finite & np.isfinite(loss))] = np.inf
+    if np.isinf(loss).all():
         raise FitError("all restarts produced non-finite losses")
-    return ReluNetwork(best_w)
+    return ReluNetwork(W[int(np.argmin(loss))])
 
 
 def match_neurons(est: ReluNetwork, truth: ReluNetwork) -> MatchResult:
@@ -187,6 +191,7 @@ def match_neurons(est: ReluNetwork, truth: ReluNetwork) -> MatchResult:
     Hungarian method, with each pair's sign chosen to attain its minimum
     (ties prefer +1).
     """
+    from scipy.optimize import linear_sum_assignment  # deferred: only estimate matches, and scipy is slow to import
     if est.weights.shape != truth.weights.shape:
         raise DimensionMismatchError(
             f"estimate {est.weights.shape} and truth {truth.weights.shape} disagree"

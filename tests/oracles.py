@@ -152,3 +152,60 @@ def strip_integral_grid_min(eps: float, lo: float = -2.0, hi: float = 2.0, step:
         block = strip_integral(b0[i : i + chunk, None], b1[None, :], eps)
         best = min(best, float(block.min()))
     return best
+
+
+def _unit_rows_reference(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
+    w = rng.normal(size=(k, d))
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    while (norms < 1e-12).any():
+        bad = norms[:, 0] < 1e-12
+        w[bad] = rng.normal(size=(int(bad.sum()), d))
+        norms = np.linalg.norm(w, axis=1, keepdims=True)
+    return w / norms
+
+
+def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_iters: int,
+                      step_size: float, tol: float, seed: int) -> np.ndarray:
+    """Best-of-restarts projected gradient descent, one restart after another.
+
+    The per-restart loop that ``fit_erm`` replaced with a stacked descent,
+    kept verbatim: returns the winning (k, d) weights, or raises
+    ``FitError`` when every restart's loss went non-finite.
+    """
+    from relu_bandits import FitError
+
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    best_loss = math.inf
+    best_w = None
+    for _ in range(restarts):
+        w = _unit_rows_reference(rng, k, X.shape[1])
+        diverged = False
+        for _ in range(max_iters):
+            p = w @ X.T  # (k, n)
+            resid = np.where(p >= 0.0, p, 0.0).sum(axis=0) - y
+            loss = float(np.mean(resid * resid))
+            if not math.isfinite(loss):
+                diverged = True
+                break
+            grad = (2.0 / n) * (((p > 0.0) * resid) @ X)  # (k, d)
+            if float(np.sqrt((grad * grad).sum())) <= tol:
+                break
+            w = w - step_size * grad
+            norms = np.linalg.norm(w, axis=1, keepdims=True)
+            small = norms[:, 0] < 1e-12
+            if small.any():  # a row collapsed onto the origin; restart it in place
+                w[small] = _unit_rows_reference(rng, int(small.sum()), X.shape[1])
+                norms = np.linalg.norm(w, axis=1, keepdims=True)
+            w = w / norms
+        if diverged:
+            continue
+        p = w @ X.T
+        resid = np.where(p >= 0.0, p, 0.0).sum(axis=0) - y
+        final_loss = float(np.mean(resid * resid))
+        if math.isfinite(final_loss) and final_loss < best_loss:
+            best_loss = final_loss
+            best_w = w
+    if best_w is None:
+        raise FitError("all restarts produced non-finite losses")
+    return best_w

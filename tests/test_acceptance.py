@@ -3,7 +3,8 @@
 Each test prints one CRITERION line (PASS or FAIL with the measured numbers)
 so a plain ``pytest -v`` run doubles as the acceptance report.  The two
 experiment reproductions run the shipped configs at full scale, so this
-module dominates the suite's runtime.
+module dominates the suite's runtime; they are marked ``slow``, and
+``pytest -m "not slow"`` leaves them out.
 """
 
 import json
@@ -100,6 +101,7 @@ def fig2b():
     return run_shipped("fig2b.json")
 
 
+@pytest.mark.slow
 class TestCriterion1Fig2a:
     def test_protocol_pinned(self, fig2a):
         cfg, _, _ = fig2a
@@ -114,6 +116,7 @@ class TestCriterion1Fig2a:
         report(capsys, 1, ok, detail)
 
 
+@pytest.mark.slow
 class TestCriterion2Fig2b:
     def test_protocol_pinned(self, fig2b):
         cfg, _, _ = fig2b

@@ -91,6 +91,13 @@ class TestCheckBounds:
         code = main(["check-bounds", "--k", "1", "--d", "2", "--nu", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--nu", "inf"), ("--C1", "nan"), ("--C2", "-inf")])
+    def test_nonfinite_number_exit2(self, flag, value, capsys):
+        code = main(["check-bounds", "--k", "1", "--d", "2", f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "finite" in captured.err and captured.out == ""
+
     def test_missing_required_flag(self, capsys):
         assert main(["check-bounds", "--k", "1"]) == 2
 
@@ -156,6 +163,24 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "'T'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ({"sigma": math.nan}, "sigma"),
+            ({"alpha0": math.inf}, "alpha0"),
+            ({"algorithms": [{"name": "oful", "lambda": math.nan}]}, "lambda"),
+            ({"algorithms": [{"name": "ofu_relu", "fit": {"step_size": -math.inf}}]}, "step_size"),
+        ],
+    )
+    def test_nonfinite_number_exit2(self, tmp_path, capsys, override, key):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, **override))
+        raw = (tmp_path / "cfg.json").read_text()
+        assert "NaN" in raw or "Infinity" in raw  # json writes the non-standard literals
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "finite" in err
+        assert not (tmp_path / "o").exists()
+
     def test_single_trial_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, trials=1))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -216,6 +241,11 @@ class TestEstimate:
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "bogus": True})
         assert main(["estimate", "--config", cfg]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_nonfinite_delta_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": math.nan})
+        assert main(["estimate", "--config", cfg]) == 2
+        assert "'delta'" in capsys.readouterr().err
 
     def test_empty_sample_sizes_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": []})

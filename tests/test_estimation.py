@@ -20,8 +20,9 @@ from relu_bandits import (
     t0_schedule,
     zeta_bound,
 )
+from relu_bandits import estimation
 
-from oracles import exhaustive_match, mp_alpha, mp_h, mp_t0, mp_zeta
+from oracles import exhaustive_match, fit_erm_reference, mp_alpha, mp_h, mp_t0, mp_zeta
 
 
 def unit_rows(rng, k, d):
@@ -124,6 +125,81 @@ class TestFitErm:
             lhs = abs(empirical_sq_loss(a, data) - empirical_sq_loss(b, data))
             rhs = 4.0 * k * np.linalg.norm(a.weights - b.weights, axis=1).sum()
             assert lhs <= rhs + 1e-9
+
+
+class TestFitErmMatchesPerRestartLoop:
+    """The stacked descent returns exactly what one restart after another did."""
+
+    @staticmethod
+    def both(X, y, k, restarts, max_iters, step_size, tol, seed):
+        data = [Sample(x=X[i], y=float(y[i])) for i in range(len(y))]
+        cfg = FitConfig(restarts=restarts, max_iters=max_iters, step_size=step_size, tol=tol, seed=seed)
+        try:
+            got = fit_erm(data, k, cfg).weights
+        except FitError:
+            got = None
+        try:
+            want = fit_erm_reference(X, y, k, restarts, max_iters, step_size, tol, seed)
+        except FitError:
+            want = None
+        return got, want
+
+    def test_randomized_bit_identical(self):
+        rng = np.random.default_rng(20240513)
+        failures = 0
+        for _ in range(150):
+            k, d, n = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 300))
+            truth = ReluNetwork(unit_rows(rng, k, d))
+            X = unit_rows(rng, n, d)
+            y = np.maximum(X @ truth.weights.T, 0.0).sum(axis=1) + rng.uniform(0.0, 0.5) * rng.standard_normal(n)
+            if rng.random() < 0.1:
+                y[int(rng.integers(n))] = rng.choice([np.inf, -np.inf, np.nan])
+            tol = float(10.0 ** rng.uniform(-9.0, 0.5))  # the upper end freezes restarts early
+            got, want = self.both(
+                X, y, k, int(rng.integers(1, 12)), int(rng.integers(1, 150)),
+                float(rng.uniform(0.05, 1.0)), tol, int(rng.integers(0, 2**31)),
+            )
+            failures += want is None
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+        assert failures > 0  # the non-finite-label cases were exercised
+
+    def test_restarts_freeze_at_tol(self):
+        rng = np.random.default_rng(4)
+        truth = ReluNetwork(np.array([[0.6, 0.8]]))
+        X = unit_rows(rng, 60, 2)
+        y = np.maximum(X @ truth.weights.T, 0.0).sum(axis=1)
+        short, want = self.both(X, y, 1, 4, 800, 0.2, 1e-6, 5)
+        assert np.array_equal(short, want)
+        long, _ = self.both(X, y, 1, 4, 1600, 0.2, 1e-6, 5)
+        assert np.array_equal(short, long)  # the winner had frozen before 800 steps
+        unfrozen, _ = self.both(X, y, 1, 4, 800, 0.2, 1e-300, 5)
+        assert not np.array_equal(short, unfrozen)  # and freezing changed where it stopped
+        first, want = self.both(X, y, 1, 4, 800, 0.2, 1e3, 5)
+        assert np.array_equal(first, want)
+        draws = np.random.default_rng(5).normal(size=(4, 1, 2))
+        assert any(np.allclose(first, w / np.linalg.norm(w)) for w in draws)  # frozen at its draw
+
+    def test_collapsed_row_redrawn(self, monkeypatch):
+        # every initial row is e1 and the only sample is e1 with label 0: the
+        # residual is 2, each row's gradient 4 * e1, and a step of 0.25 lands
+        # every row on the origin
+        draws = []
+        real = estimation._unit_rows
+
+        def first_rows_at_e1(rng, k, d):
+            draws.append(k)
+            if len(draws) <= 3:
+                return np.tile([1.0, 0.0], (k, 1))
+            return real(rng, k, d)
+
+        monkeypatch.setattr(estimation, "_unit_rows", first_rows_at_e1)
+        data = [Sample(x=np.array([1.0, 0.0]), y=0.0)]
+        est = fit_erm(data, 2, FitConfig(restarts=3, max_iters=20, step_size=0.25, seed=0))
+        assert len(draws) > 3  # the collapse branch redrew rows
+        assert np.isfinite(est.weights).all()
+        np.testing.assert_allclose(np.linalg.norm(est.weights, axis=1), 1.0, atol=1e-12)
 
 
 class TestMatchNeurons:

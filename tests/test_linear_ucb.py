@@ -6,10 +6,12 @@ import pytest
 from relu_bandits import (
     DimensionMismatchError,
     LinearUcbState,
+    ReluNetwork,
     UcbConfig,
     conf_radius,
     init_state,
     ridge_update,
+    sign_robust_features_batch,
     ucb_select,
 )
 from relu_bandits.linear_ucb import REFACTOR_EVERY
@@ -95,6 +97,30 @@ class TestRidgeUpdate:
         np.testing.assert_allclose(s.gram_inv @ s.gram, np.eye(3), atol=1e-8)
         _, want_logdet = np.linalg.slogdet(V)
         assert s.logdet == pytest.approx(want_logdet, rel=1e-8)
+
+    def test_no_drift_over_ten_thousand_near_collinear_updates(self):
+        # OFU-ReLU's lifted features at k=3, d=2 (2kd = 12) for actions within
+        # a few degrees of one direction, with a small ridge: V ends up with
+        # condition number ~2e6, and the last 272 updates since the final
+        # re-factorization are pure Sherman-Morrison.
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((3, 2))
+        est = ReluNetwork(w / np.linalg.norm(w, axis=1, keepdims=True))
+        n, lam = 10_000, 0.01
+        ang = rng.uniform(0.0, 2.0 * np.pi) + 0.05 * rng.standard_normal(n)
+        Phi = sign_robust_features_batch(np.stack([np.cos(ang), np.sin(ang)], axis=1), est)
+        y = Phi @ rng.standard_normal(12) + 0.1 * rng.standard_normal(n)
+        s = init_state(12, lam=lam)
+        for i in range(n):
+            s = ridge_update(s, Phi[i], y[i])
+        assert s.since_refactor == n % REFACTOR_EVERY == 272
+        theta, V = ridge_solve(Phi, y, lam)
+        assert np.linalg.cond(V) > 1e6
+        assert np.linalg.norm(s.theta_hat - theta) <= 1e-7 * np.linalg.norm(theta)
+        inv = np.linalg.solve(V, np.eye(12))
+        assert np.linalg.norm(s.gram_inv - inv) <= 1e-8 * np.linalg.norm(inv)
+        sign, want_logdet = np.linalg.slogdet(V)
+        assert sign > 0 and abs(s.logdet - want_logdet) <= 1e-8
 
     def test_gram_stays_spd(self):
         rng = np.random.default_rng(8)
