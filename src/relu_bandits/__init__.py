@@ -57,18 +57,12 @@ from .linear_ucb import LinearUcbState, UcbConfig, conf_radius, init_state, ridg
 from .relu_model import (
     ArmSet,
     ReluNetwork,
-    TransformedArm,
     eval_f,
     eval_f_batch,
     exact_argmax_2d,
-    frozen_features,
     gap_of,
     margin_mask,
-    restrict_arms,
-    sign_corrected_parameter,
-    sign_robust_features,
     sign_robust_features_batch,
-    transform_arm,
 )
 from .reporting import emit_svg, export_csv, write_summary
 
@@ -99,7 +93,6 @@ __all__ = [
     "RandomConfig",
     "ReluNetwork",
     "Sample",
-    "TransformedArm",
     "TrialTrace",
     "UcbConfig",
     "UnsupportedDimensionError",
@@ -114,7 +107,6 @@ __all__ = [
     "exact_argmax_2d",
     "export_csv",
     "fit_erm",
-    "frozen_features",
     "gap_of",
     "gen_instance",
     "h_bound",
@@ -122,15 +114,11 @@ __all__ = [
     "margin_mask",
     "match_neurons",
     "make_agent",
-    "restrict_arms",
     "ridge_update",
     "run_trial",
     "sample_arms",
-    "sign_corrected_parameter",
-    "sign_robust_features",
     "sign_robust_features_batch",
     "t0_schedule",
-    "transform_arm",
     "ucb_select",
     "write_summary",
     "zeta_bound",

@@ -39,20 +39,15 @@ from .relu_model import ArmSet, ReluNetwork, margin_mask, sign_robust_features_b
 
 @dataclass(frozen=True, eq=False)
 class AgentObservation:
-    """One completed round: the offered set, the pick, and the reward."""
+    """One completed round: the chosen action and its reward.
+
+    ``action`` is a copy of the chosen row, so a stored observation does not
+    keep the whole offered set alive.
+    """
 
     t: int
-    arms: ArmSet
-    index: int
+    action: np.ndarray
     reward: float
-
-    def __post_init__(self):
-        if not 0 <= self.index < len(self.arms):
-            raise ValueError(f"chosen index {self.index} outside the offered set of {len(self.arms)}")
-
-    @property
-    def action(self) -> np.ndarray:
-        return self.arms.arms[self.index]
 
 
 @dataclass(frozen=True)
@@ -185,22 +180,23 @@ class _SequentialAgent:
 
     def __init__(self):
         self._t = 0  # rounds completed
-        self._pending: tuple[ArmSet, int] | None = None
+        self._pending: np.ndarray | None = None  # the chosen action awaiting its reward
 
     def select_arm(self, arms: ArmSet, rng: np.random.Generator) -> int:
         if self._pending is not None:
             raise ProtocolError("observe() must be called before the next select_arm()")
         idx = int(self._select(arms, rng, self._t + 1))
-        self._pending = (arms, idx)
+        if not 0 <= idx < len(arms):
+            raise ValueError(f"chosen index {idx} outside the offered set of {len(arms)}")
+        self._pending = arms.arms[idx].copy()
         return idx
 
     def observe(self, y: float) -> None:
         if self._pending is None:
             raise ProtocolError("select_arm() must be called before observe()")
-        arms, idx = self._pending
-        self._pending = None
+        action, self._pending = self._pending, None
         self._t += 1
-        self._observe(AgentObservation(t=self._t, arms=arms, index=idx, reward=float(y)))
+        self._observe(AgentObservation(t=self._t, action=action, reward=float(y)))
 
     def _select(self, arms: ArmSet, rng: np.random.Generator, t: int) -> int:
         raise NotImplementedError
@@ -241,23 +237,19 @@ class OfulAgent(_SequentialAgent):
         self._ridge = ridge_update(self._ridge, obs.action, obs.reward)
 
 
-class OfuReluAgent(_SequentialAgent):
-    """Explore, fit once, then UCB over sign-robust features.
+class _LiftedUcbAgent(_SequentialAgent):
+    """What both ReLU agents share: the estimate, the 2kd ridge state, the UCB round.
 
-    The ridge state lives in the 2kd lifted space and absorbs only the
-    post-exploration observations; exploration samples feed the fit.  When
-    margin filtering empties the offered set, the full set is used and the
-    round is counted in ``fallback_rounds``.
+    When margin filtering empties the offered set, the full set is used and
+    the round is counted in ``fallback_rounds``.
     """
 
-    def __init__(self, k: int, d: int, cfg: OfuReluConfig, estimate: ReluNetwork | None = None):
+    def __init__(self, k: int, d: int, cfg: OfuReluConfig | OfuReluPlusConfig):
         super().__init__()
         self.label = cfg.label
         self._k, self._d = k, d
         self._cfg = cfg
-        self._samples: list[Sample] = []
-        self._estimate = estimate
-        self._fit_done = estimate is not None
+        self._estimate: ReluNetwork | None = None
         self._ridge = init_state(2 * k * d, cfg.ucb.lam)
         self._pending_features: np.ndarray | None = None
         self.fallback_rounds = 0
@@ -270,11 +262,9 @@ class OfuReluAgent(_SequentialAgent):
     def ridge(self) -> LinearUcbState:
         return self._ridge
 
-    def _select(self, arms, rng, t):
-        if t <= self._cfg.t0:
-            return int(rng.integers(len(arms)))
-        est = self._estimate
-        mask = margin_mask(arms.arms, est, self._cfg.nu / 2.0)
+    def _ucb_round(self, arms: ArmSet, est: ReluNetwork, nu: float) -> int:
+        """Pick among the arms with margin nu/2 under est; keep the pick's features."""
+        mask = margin_mask(arms.arms, est, nu / 2.0)
         if not mask.any():
             self.fallback_rounds += 1
             mask = np.ones(len(arms), dtype=bool)
@@ -283,6 +273,25 @@ class OfuReluAgent(_SequentialAgent):
         j = ucb_select(self._ridge, self._cfg.ucb, feats)
         self._pending_features = feats[j]
         return int(kept[j])
+
+
+class OfuReluAgent(_LiftedUcbAgent):
+    """Explore, fit once, then UCB over sign-robust features.
+
+    The ridge state lives in the 2kd lifted space and absorbs only the
+    post-exploration observations; exploration samples feed the fit.
+    """
+
+    def __init__(self, k: int, d: int, cfg: OfuReluConfig, estimate: ReluNetwork | None = None):
+        super().__init__(k, d, cfg)
+        self._samples: list[Sample] = []
+        self._estimate = estimate
+        self._fit_done = estimate is not None
+
+    def _select(self, arms, rng, t):
+        if t <= self._cfg.t0:
+            return int(rng.integers(len(arms)))
+        return self._ucb_round(arms, self._estimate, self._cfg.nu)
 
     def _observe(self, obs):
         if obs.t <= self._cfg.t0:
@@ -295,7 +304,7 @@ class OfuReluAgent(_SequentialAgent):
             self._pending_features = None
 
 
-class OfuReluPlusAgent(_SequentialAgent):
+class OfuReluPlusAgent(_LiftedUcbAgent):
     """Batched agent: refit per batch, never discarding data.
 
     Within batch i the first explore_sizes[i] rounds (clamped to the batch)
@@ -308,17 +317,10 @@ class OfuReluPlusAgent(_SequentialAgent):
     """
 
     def __init__(self, k: int, d: int, T: int, cfg: OfuReluPlusConfig):
-        super().__init__()
-        self.label = cfg.label
-        self._k, self._d = k, d
-        self._cfg = cfg
+        super().__init__(k, d, cfg)
         self.grid = build_batch_grid(cfg, T)
         self._history: list[AgentObservation] = []
         self._pool: list[Sample] = []
-        self._estimate: ReluNetwork | None = None
-        self._ridge = init_state(2 * k * d, cfg.ucb.lam)
-        self._pending_features: np.ndarray | None = None
-        self.fallback_rounds = 0
         self.forced_exploration_rounds = 0
         # explore window of each batch, resolved with runtime clamping
         self._explore_end = []
@@ -326,14 +328,6 @@ class OfuReluPlusAgent(_SequentialAgent):
             start = self.grid.boundaries[i]
             length = min(self.grid.explore_sizes[i], self.grid.batch_length(i))
             self._explore_end.append(start + length)
-
-    @property
-    def estimate(self) -> ReluNetwork | None:
-        return self._estimate
-
-    @property
-    def ridge(self) -> LinearUcbState:
-        return self._ridge
 
     @property
     def pool_size(self) -> int:
@@ -363,17 +357,7 @@ class OfuReluPlusAgent(_SequentialAgent):
             if t > self._explore_end[self._batch_of(t)]:
                 self.forced_exploration_rounds += 1
             return int(rng.integers(len(arms)))
-        i = self._batch_of(t)
-        est = self._estimate
-        mask = margin_mask(arms.arms, est, self.grid.nus[i] / 2.0)
-        if not mask.any():
-            self.fallback_rounds += 1
-            mask = np.ones(len(arms), dtype=bool)
-        kept = np.flatnonzero(mask)
-        feats = sign_robust_features_batch(arms.arms[kept], est)
-        j = ucb_select(self._ridge, self._cfg.ucb, feats)
-        self._pending_features = feats[j]
-        return int(kept[j])
+        return self._ucb_round(arms, self._estimate, self.grid.nus[self._batch_of(t)])
 
     def _observe(self, obs):
         self._history.append(obs)

@@ -15,11 +15,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig
+from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
 from .errors import BoundVacuousError, ConfigError
 from .estimation import (
     BoundParams,
@@ -55,223 +55,160 @@ class ExperimentConfig:
     echo: dict
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+REQUIRED = object()  # table default of a key the block must set
 
 
-def _get(block: dict, key: str, kind, default, where: str, *, required: bool = False):
-    if key not in block:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        return default
-    v = block[key]
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
+def _ucb_table(s_factor: float) -> dict:
+    """The UCB keys every linear-UCB algorithm shares; S defaults to sqrt(s_factor * k)."""
+    return {
+        "lambda": (float, 1.0),
+        "S": (float, lambda k, T, sigma: math.sqrt(s_factor * k)),
+        "delta": (float, lambda k, T, sigma: 1.0 / math.sqrt(T) if T >= 2 else 0.5),
+        "ucb_sigma": (float, lambda k, T, sigma: sigma),
+    }
+
+
+# One table per JSON block: key -> (kind, default).  A kind is int, float,
+# str, list (any list), list[int] or a nested table; a callable default is
+# evaluated at (k, T, sigma).  ``_parse`` resolves a block against its table,
+# and the result is both what the objects are built from and the echo.
+FIT = {f.name: (type(f.default), f.default) for f in fields(FitConfig)}
+INSTANCE = {
+    "k": (int, REQUIRED), "d": (int, REQUIRED), "sigma": (float, 0.1), "alpha0": (float, 0.0), "seed": (int, 0),
+}
+EXPERIMENT = {
+    **INSTANCE,
+    "T": (int, REQUIRED),
+    "trials": (int, REQUIRED),
+    "arms_per_round": (int, REQUIRED),
+    "out_dir": (str, "results"),
+    "algorithms": (list, REQUIRED),
+}
+ESTIMATE = {**INSTANCE, "sample_sizes": (list[int], [20, 100, 500]), "delta": (float, 0.05), "fit": (FIT, None)}
+ALGORITHMS = {
+    "random": {},
+    "oful": _ucb_table(1.0),
+    "ofu_relu": {"t0": (int, 20), "nu": (float, 0.0), **_ucb_table(5.0), "fit": (FIT, None)},
+    "ofu_relu_plus": {
+        "nu0": (float, 1.0),
+        "T1": (int, 10),
+        "a": (float, 2.0),
+        "b": (float, 2.0 ** (1.0 / 32.0)),
+        "C1": (float, 1.0),
+        "C2": (float, 1.0),
+        "practical_override": (list[int], None),
+        **_ucb_table(5.0),
+        "fit": (FIT, None),
+    },
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _value(v, kind, key: str, where: str):
+    """Type-check one value that the block sets; an integer is accepted as a float."""
+    if kind is float and _is_int(v):
         v = float(v)
-    if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
+    if kind is int and not _is_int(v):
         raise ConfigError(f"key '{key}' in {where} must be an integer")
     if kind is float and not (isinstance(v, float) and math.isfinite(v)):
         raise ConfigError(f"key '{key}' in {where} must be a finite number")
     if kind is str and not isinstance(v, str):
         raise ConfigError(f"key '{key}' in {where} must be a string")
+    if kind is list and not isinstance(v, list):
+        raise ConfigError(f"key '{key}' in {where} must be a list")
+    if kind == list[int] and not (isinstance(v, list) and all(map(_is_int, v))):
+        raise ConfigError(f"key '{key}' in {where} must be a list of integers")
     return v
 
 
-def _parse_fit(block: dict | None, where: str) -> FitConfig:
-    if block is None:
-        return FitConfig()
+def _parse(block, table: dict, where: str, ctx: tuple = ()) -> dict:
+    """Resolve a JSON block against its table: unknown keys, types, defaults.
+
+    An explicit null counts as left out where the default is None; a nested
+    table left out resolves to its own defaults.
+    """
     if not isinstance(block, dict):
-        raise ConfigError(f"'fit' in {where} must be an object")
-    _check_keys(block, {"restarts", "max_iters", "step_size", "tol", "seed"}, f"{where}.fit")
-    base = FitConfig()
-    return FitConfig(
-        restarts=_get(block, "restarts", int, base.restarts, where),
-        max_iters=_get(block, "max_iters", int, base.max_iters, where),
-        step_size=_get(block, "step_size", float, base.step_size, where),
-        tol=_get(block, "tol", float, base.tol, where),
-        seed=_get(block, "seed", int, base.seed, where),
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        v = block.get(key)
+        if key in block and not (v is None and default is None):
+            v = _value(v, kind, key, where)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in {where}")
+        else:
+            v = default(*ctx) if callable(default) else default
+        if isinstance(kind, dict):
+            v = _parse({} if v is None else v, kind, f"{where}.{key}", ctx)
+        out[key] = v
+    return out
+
+
+def _parse_algorithm(block, where: str, ctx: tuple) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    if "name" not in block:
+        raise ConfigError(f"missing required key 'name' in {where}")
+    name = block["name"]
+    if not (isinstance(name, str) and name in ALGORITHMS):
+        raise ConfigError(f"unknown algorithm name {name!r} in {where}")
+    return _parse(block, {"name": (str, REQUIRED), "label": (str, name), **ALGORITHMS[name]}, where, ctx)
+
+
+def _build_algorithm(p: dict, k: int, d: int, T: int, sigma: float) -> AgentConfig:
+    if p["name"] == "random":
+        return RandomConfig(label=p["label"])
+    ucb = UcbConfig(sigma=p["ucb_sigma"], S=p["S"], delta=p["delta"], lam=p["lambda"])
+    if p["name"] == "oful":
+        return OfulConfig(ucb=ucb, label=p["label"])
+    fit = FitConfig(**p["fit"])
+    if p["name"] == "ofu_relu":
+        return OfuReluConfig(t0=p["t0"], nu=p["nu"], ucb=ucb, fit=fit, label=p["label"])
+    # schedule sigma is the environment noise level, not the UCB one
+    sched = BoundParams(k=k, d=d, sigma=sigma, delta=p["delta"], T=float(T), C1=p["C1"], C2=p["C2"])
+    cfg = OfuReluPlusConfig(
+        nu0=p["nu0"], T1=p["T1"], a=p["a"], b=p["b"], schedule=sched, ucb=ucb, fit=fit,
+        practical_override=p["practical_override"], label=p["label"],
     )
-
-
-def _fit_echo(fit: FitConfig) -> dict:
-    return {
-        "restarts": fit.restarts,
-        "max_iters": fit.max_iters,
-        "step_size": fit.step_size,
-        "tol": fit.tol,
-        "seed": fit.seed,
-    }
-
-
-def _default_delta(T: int) -> float:
-    return 1.0 / math.sqrt(T) if T >= 2 else 0.5
-
-
-def _parse_algorithm(block: dict, idx: int, k: int, d: int, T: int, sigma: float) -> tuple[AgentConfig, dict]:
-    if not isinstance(block, dict):
-        raise ConfigError(f"algorithms[{idx}] must be an object")
-    where = f"algorithms[{idx}]"
-    name = _get(block, "name", str, None, where, required=True)
-    label = _get(block, "label", str, name, where)
-    if name == "random":
-        _check_keys(block, {"name", "label"}, where)
-        return RandomConfig(label=label), {"name": name, "label": label}
-    lam = _get(block, "lambda", float, 1.0, where)
-    delta = _get(block, "delta", float, _default_delta(T), where)
-    ucb_sigma = _get(block, "ucb_sigma", float, sigma, where)
-    if name == "oful":
-        _check_keys(block, {"name", "label", "lambda", "S", "delta", "ucb_sigma"}, where)
-        S = _get(block, "S", float, math.sqrt(k), where)
-        ucb = UcbConfig(sigma=ucb_sigma, S=S, delta=delta, lam=lam)
-        echo = {"name": name, "label": label, "lambda": lam, "S": S, "delta": delta, "ucb_sigma": ucb_sigma}
-        return OfulConfig(ucb=ucb, label=label), echo
-    if name == "ofu_relu":
-        _check_keys(block, {"name", "label", "t0", "nu", "lambda", "S", "delta", "ucb_sigma", "fit"}, where)
-        S = _get(block, "S", float, math.sqrt(5.0 * k), where)
-        t0 = _get(block, "t0", int, 20, where)
-        nu = _get(block, "nu", float, 0.0, where)
-        fit = _parse_fit(block.get("fit"), where)
-        ucb = UcbConfig(sigma=ucb_sigma, S=S, delta=delta, lam=lam)
-        cfg = OfuReluConfig(t0=t0, nu=nu, ucb=ucb, fit=fit, label=label)
-        echo = {
-            "name": name,
-            "label": label,
-            "t0": t0,
-            "nu": nu,
-            "lambda": lam,
-            "S": S,
-            "delta": delta,
-            "ucb_sigma": ucb_sigma,
-            "fit": _fit_echo(fit),
-        }
-        return cfg, echo
-    if name == "ofu_relu_plus":
-        _check_keys(
-            block,
-            {
-                "name",
-                "label",
-                "nu0",
-                "T1",
-                "a",
-                "b",
-                "C1",
-                "C2",
-                "practical_override",
-                "lambda",
-                "S",
-                "delta",
-                "ucb_sigma",
-                "fit",
-            },
-            where,
-        )
-        S = _get(block, "S", float, math.sqrt(5.0 * k), where)
-        nu0 = _get(block, "nu0", float, 1.0, where)
-        T1 = _get(block, "T1", int, 10, where)
-        a = _get(block, "a", float, 2.0, where)
-        b = _get(block, "b", float, 2.0 ** (1.0 / 32.0), where)
-        C1 = _get(block, "C1", float, 1.0, where)
-        C2 = _get(block, "C2", float, 1.0, where)
-        override = block.get("practical_override")
-        if override is not None:
-            if not isinstance(override, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in override
-            ):
-                raise ConfigError(f"'practical_override' in {where} must be a list of integers")
-            override = tuple(override)
-        fit = _parse_fit(block.get("fit"), where)
-        ucb = UcbConfig(sigma=ucb_sigma, S=S, delta=delta, lam=lam)
-        # schedule sigma is the environment noise level, not the UCB one
-        sched = BoundParams(k=k, d=d, sigma=sigma, delta=delta, T=float(T), C1=C1, C2=C2)
-        cfg = OfuReluPlusConfig(
-            nu0=nu0, T1=T1, a=a, b=b, schedule=sched, ucb=ucb, fit=fit, practical_override=override, label=label
-        )
-        echo = {
-            "name": name,
-            "label": label,
-            "nu0": nu0,
-            "T1": T1,
-            "a": a,
-            "b": b,
-            "C1": C1,
-            "C2": C2,
-            "practical_override": list(override) if override is not None else None,
-            "lambda": lam,
-            "S": S,
-            "delta": delta,
-            "ucb_sigma": ucb_sigma,
-            "fit": _fit_echo(fit),
-        }
-        return cfg, echo
-    raise ConfigError(f"unknown algorithm name {name!r} in {where}")
+    build_batch_grid(cfg, T)  # a bad grid fails here, before any output is written
+    return cfg
 
 
 def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_override: str | None = None) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    allowed = {"k", "d", "T", "trials", "arms_per_round", "sigma", "alpha0", "seed", "algorithms", "out_dir"}
-    _check_keys(raw, allowed, "config")
-    where = "config"
-    k = _get(raw, "k", int, None, where, required=True)
-    d = _get(raw, "d", int, None, where, required=True)
-    T = _get(raw, "T", int, None, where, required=True)
-    trials = _get(raw, "trials", int, None, where, required=True)
-    m = _get(raw, "arms_per_round", int, None, where, required=True)
-    sigma = _get(raw, "sigma", float, 0.1, where)
-    alpha0 = _get(raw, "alpha0", float, 0.0, where)
-    seed = _get(raw, "seed", int, 0, where)
-    out_dir = _get(raw, "out_dir", str, "results", where)
+    p = _parse(raw, EXPERIMENT, "config")
     if seed_override is not None:
-        seed = seed_override
+        p["seed"] = seed_override
     if out_override is not None:
-        out_dir = out_override
+        p["out_dir"] = out_override
+    k, d, T, m, sigma = p["k"], p["d"], p["T"], p["arms_per_round"], p["sigma"]
     if k < 1 or d < 2 or T < 1 or m < 1:
         raise ConfigError("k, d, T and arms_per_round must be positive (d at least 2)")
-    if trials < 2:
+    if p["trials"] < 2:
         raise ConfigError("trials must be at least 2 (confidence intervals need two runs)")
-    if sigma < 0.0 or alpha0 < 0.0 or seed < 0:
+    if sigma < 0.0 or p["alpha0"] < 0.0 or p["seed"] < 0:
         raise ConfigError("sigma, alpha0 and seed must be nonnegative")
-    blocks = raw.get("algorithms")
-    if not isinstance(blocks, list) or not blocks:
+    if not p["algorithms"]:
         raise ConfigError("'algorithms' must be a nonempty list")
     algos, echoes = [], []
-    for i, blk in enumerate(blocks):
+    for i, blk in enumerate(p["algorithms"]):
+        where = f"algorithms[{i}]"
+        echoes.append(_parse_algorithm(blk, where, (k, T, sigma)))
         try:
-            cfg, echo = _parse_algorithm(blk, i, k, d, T, sigma)
-        except ValueError as exc:  # invariant violations from the dataclasses
-            raise ConfigError(f"algorithms[{i}]: {exc}") from exc
-        algos.append(cfg)
-        echoes.append(echo)
+            algos.append(_build_algorithm(echoes[-1], k, d, T, sigma))
+        except ValueError as exc:  # invariant and grid errors carry no location
+            raise ConfigError(f"{where}: {exc}") from exc
     labels = [a.label for a in algos]
     if len(set(labels)) != len(labels):
         raise ConfigError("algorithm labels must be unique (set 'label' to disambiguate)")
-    echo = {
-        "k": k,
-        "d": d,
-        "T": T,
-        "trials": trials,
-        "arms_per_round": m,
-        "sigma": sigma,
-        "alpha0": alpha0,
-        "seed": seed,
-        "out_dir": out_dir,
-        "algorithms": echoes,
-    }
-    return ExperimentConfig(
-        k=k,
-        d=d,
-        T=T,
-        trials=trials,
-        arms_per_round=m,
-        sigma=sigma,
-        alpha0=alpha0,
-        seed=seed,
-        algorithms=tuple(algos),
-        out_dir=out_dir,
-        echo=echo,
-    )
+    p["algorithms"] = echoes
+    # the top-level keys are ExperimentConfig's fields
+    return ExperimentConfig(**{**p, "algorithms": tuple(algos)}, echo=p)
 
 
 def _instance_for_trial(cfg: ExperimentConfig, trial: int):
@@ -340,25 +277,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    raw = _load_json(args.config)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, {"k", "d", "sigma", "alpha0", "seed", "sample_sizes", "delta", "fit"}, "config")
-    where = "config"
-    k = _get(raw, "k", int, None, where, required=True)
-    d = _get(raw, "d", int, None, where, required=True)
-    sigma = _get(raw, "sigma", float, 0.1, where)
-    alpha0 = _get(raw, "alpha0", float, 0.0, where)
-    seed = _get(raw, "seed", int, 0, where)
-    delta = _get(raw, "delta", float, 0.05, where)
-    sizes = raw.get("sample_sizes", [20, 100, 500])
-    if not isinstance(sizes, list) or not sizes or not all(isinstance(n, int) and n >= 1 for n in sizes):
+    cfg = _parse(_load_json(args.config), ESTIMATE, "config")
+    k, d, sigma, alpha0, delta, sizes = (cfg[key] for key in ("k", "d", "sigma", "alpha0", "delta", "sample_sizes"))
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    if not sizes or min(sizes) < 1:
         raise ConfigError("'sample_sizes' must be a nonempty list of positive integers")
-    if args.seed is not None:
-        seed = args.seed
     if k < 1 or d < 2 or sigma < 0.0 or alpha0 < 0.0 or seed < 0 or not 0.0 < delta < 1.0:
         raise ConfigError("invalid estimate parameters (need k >= 1, d >= 2, sigma >= 0, delta in (0,1))")
-    fit = _parse_fit(raw.get("fit"), where)
+    fit = FitConfig(**cfg["fit"])
     inst = gen_instance(k, d, alpha0, sigma, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
     data_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 1)))
     for n in sizes:

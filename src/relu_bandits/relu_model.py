@@ -10,15 +10,14 @@ follows that convention.
 
 Freezing the indicators at an estimate We turns f into a linear function of a
 lifted feature vector, which is what lets a linear-bandit engine drive the
-post-exploration phase:
-
-* ``frozen_features`` (k blocks): block i is 1{we_i . x >= 0} * x.  Exact when
-  every estimated neuron is close to the true neuron with matching sign.
-* ``sign_robust_features`` (2k blocks): the extra k blocks carry
-  (1/2 - 1{we_i . x >= 0}) * x and absorb estimated neurons that converged to
-  the negation of a true neuron.  Paired with ``sign_corrected_parameter``,
-  the inner product reproduces f exactly on the margin-restricted action set
-  (see ``restrict_arms``), provided each neuron is matched within nu/2.
+post-exploration phase.  ``sign_robust_features_batch`` lifts each action to
+2k blocks: block i is 1{we_i . x >= 0} * x, exact when every estimated neuron
+is close to the true neuron with matching sign; block k+i carries
+(1/2 - 1{we_i . x >= 0}) * x and absorbs estimated neurons that converged to
+the negation of a true neuron.  Paired with the sign-corrected parameter (a
+test-side oracle, since it depends on the truth), the inner product
+reproduces f exactly on the arms that ``margin_mask`` keeps at margin nu/2,
+provided each neuron is matched within nu/2.
 
 Actions are plain unit-norm numpy vectors; ``ArmSet`` validates membership.
 All types are immutable after construction and all operations are pure, so
@@ -28,7 +27,7 @@ they are safe to use from concurrently running trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,30 +98,6 @@ class ArmSet:
         return self.arms.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedArm:
-    """An action together with its sign-robust lifted features.
-
-    ``source_estimate_id`` identifies the estimate the indicators were frozen
-    at, so stale features are detectable when the estimate is refreshed.
-    """
-
-    raw: np.ndarray
-    features: np.ndarray
-    source_estimate_id: int = 0
-
-    def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.float64)
-        feats = np.asarray(self.features, dtype=np.float64)
-        d = raw.shape[0]
-        if raw.ndim != 1 or feats.ndim != 1 or feats.shape[0] % (2 * d) != 0:
-            raise DimensionMismatchError(
-                f"features length {feats.shape} is not a 2k multiple of the action dimension {d}"
-            )
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "features", feats)
-
-
 def _as_action(x, d: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] != d:
@@ -146,35 +121,14 @@ def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:
     return p.sum(axis=1)
 
 
-def active_indicators(est: ReluNetwork, x) -> np.ndarray:
-    """1{we_i . x >= 0} for each estimated neuron, as a float vector."""
-    a = _as_action(x, est.d)
-    return (est.weights @ a >= 0.0).astype(np.float64)
-
-
-def frozen_features(x, est: ReluNetwork) -> np.ndarray:
-    """Indicator-frozen feature map (kd entries): block i = 1{we_i . x >= 0} * x."""
-    a = _as_action(x, est.d)
-    ind = (est.weights @ a >= 0.0).astype(np.float64)
-    return (ind[:, None] * a[None, :]).ravel()
-
-
-def sign_robust_features(x, est: ReluNetwork) -> np.ndarray:
-    """Sign-robust feature map (2kd entries).
-
-    First k blocks as ``frozen_features``; block k+i carries
-    (1/2 - 1{we_i . x >= 0}) * x, the handle through which a sign-corrected
-    parameter can undo an estimated neuron that matched the negated truth.
-    """
-    a = _as_action(x, est.d)
-    ind = (est.weights @ a >= 0.0).astype(np.float64)
-    first = ind[:, None] * a[None, :]
-    second = (0.5 - ind)[:, None] * a[None, :]
-    return np.concatenate([first, second], axis=0).ravel()
-
-
 def sign_robust_features_batch(actions: np.ndarray, est: ReluNetwork) -> np.ndarray:
-    """Vectorized ``sign_robust_features``: (m, d) actions -> (m, 2kd) features."""
+    """Sign-robust lift of the rows of (m, d) actions: (m, 2kd) features.
+
+    Block i of a row is 1{we_i . x >= 0} * x (the indicator-frozen features);
+    block k+i is (1/2 - 1{we_i . x >= 0}) * x, the handle through which a
+    sign-corrected parameter can undo an estimated neuron that matched the
+    negated truth.
+    """
     if actions.ndim != 2 or actions.shape[1] != est.d:
         raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {est.d})")
     ind = (actions @ est.weights.T >= 0.0).astype(np.float64)  # (m, k)
@@ -184,55 +138,11 @@ def sign_robust_features_batch(actions: np.ndarray, est: ReluNetwork) -> np.ndar
     return np.concatenate([first, second], axis=1).reshape(m, 2 * est.k * est.d)
 
 
-def transform_arm(x, est: ReluNetwork, estimate_id: int = 0) -> TransformedArm:
-    """Bundle an action with its sign-robust features under the given estimate."""
-    a = _as_action(x, est.d)
-    return TransformedArm(raw=a, features=sign_robust_features(a, est), source_estimate_id=estimate_id)
-
-
-def sign_corrected_parameter(truth: ReluNetwork, est: ReluNetwork, nu: float) -> np.ndarray:
-    """The 2kd parameter vector that pairs with ``sign_robust_features``.
-
-    First k blocks are the true neurons; correction block k+i is 2*w_i when
-    the estimate matched the negated neuron (|we_i + w_i| <= nu/2), else zero.
-    Requires per-neuron matched error <= nu/2 (the caller's responsibility);
-    depends on the truth, so it exists for tests and oracles only and is never
-    consulted by an agent.
-    """
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    if truth.weights.shape != est.weights.shape:
-        raise DimensionMismatchError(
-            f"truth {truth.weights.shape} and estimate {est.weights.shape} disagree"
-        )
-    flipped = np.linalg.norm(est.weights + truth.weights, axis=1) <= nu / 2.0
-    correction = 2.0 * truth.weights * flipped[:, None]
-    return np.concatenate([truth.weights, correction], axis=0).ravel()
-
-
 def margin_mask(actions: np.ndarray, est: ReluNetwork, nu: float) -> np.ndarray:
     """Boolean mask of actions with |we_i . x| >= nu for every neuron i."""
     if actions.ndim != 2 or actions.shape[1] != est.d:
         raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {est.d})")
     return (np.abs(actions @ est.weights.T) >= nu).all(axis=1)
-
-
-def restrict_arms(arms: ArmSet, est: ReluNetwork, nu: float) -> tuple[ArmSet, bool]:
-    """Keep arms with margin |we_i . x| >= nu for all i, preserving order.
-
-    nu = 0 keeps everything (the constraint is vacuous on the unit sphere up
-    to exact zeros, which still satisfy >= 0).  A finite sample can leave the
-    restricted set empty; in that case the full input set is returned with the
-    fallback flag set, so runs always progress.
-    """
-    if nu < 0.0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    if nu == 0.0:
-        return arms, False
-    mask = margin_mask(arms.arms, est, nu)
-    if not mask.any():
-        return arms, True
-    return ArmSet(arms.arms[mask], round_index=arms.round_index), False
 
 
 def gap_of(net: ReluNetwork, xstar) -> float:

@@ -30,6 +30,23 @@ def eval_f_reference(weights: np.ndarray, x: np.ndarray) -> float:
     return float(sum(max(float(np.dot(w, x)), 0.0) for w in weights))
 
 
+def sign_corrected_parameter(truth, est, nu: float) -> np.ndarray:
+    """The 2kd parameter vector that pairs with the sign-robust lift.
+
+    First k blocks are the true neurons; correction block k+i is 2*w_i when
+    the estimate matched the negated neuron (|we_i + w_i| <= nu/2), else zero.
+    Requires per-neuron matched error <= nu/2.  It depends on the truth, so
+    only tests use it; no agent can.
+    """
+    if nu <= 0.0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    if truth.weights.shape != est.weights.shape:
+        raise ValueError(f"truth {truth.weights.shape} and estimate {est.weights.shape} disagree")
+    flipped = np.linalg.norm(est.weights + truth.weights, axis=1) <= nu / 2.0
+    correction = 2.0 * truth.weights * flipped[:, None]
+    return np.concatenate([truth.weights, correction], axis=0).ravel()
+
+
 def exhaustive_match(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, tuple]:
     """Minimum assignment cost over all k! permutations and 2^k sign choices.
 

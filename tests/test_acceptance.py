@@ -37,7 +37,6 @@ from relu_bandits import (
     match_neurons,
     ridge_update,
     sample_arms,
-    sign_corrected_parameter,
     sign_robust_features_batch,
     t0_schedule,
     ucb_select,
@@ -51,6 +50,7 @@ from oracles import (
     mp_alpha,
     mp_h,
     mp_zeta,
+    sign_corrected_parameter,
     strip_integral_grid_min,
 )
 from relu_bandits import alpha_bound

@@ -88,6 +88,18 @@ class TestProtocol:
             agent.select_arm(arms, rng)
             agent.observe(0.0)
 
+    def test_out_of_range_pick_rejected(self):
+        class Overshoot(RandomAgent):
+            def _select(self, arms, rng, t):
+                return len(arms)
+
+        agent = Overshoot()
+        arms = sample_arms(3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="outside the offered set"):
+            agent.select_arm(arms, np.random.default_rng(1))
+        with pytest.raises(ProtocolError):
+            agent.observe(0.0)  # the rejected pick left nothing pending
+
 
 class TestRandomAgent:
     def test_uniform_histogram(self):
@@ -308,6 +320,13 @@ class TestOfuReluPlusAgent:
         np.testing.assert_allclose(agent.ridge.gram, state.gram, atol=1e-8)
         np.testing.assert_allclose(agent.ridge.moment, state.moment, atol=1e-8)
         np.testing.assert_allclose(agent.ridge.theta_hat, state.theta_hat, atol=1e-8)
+
+    def test_history_holds_copies_of_the_chosen_rows(self):
+        agent, _ = self._run((6, 3, 2), 60)
+        history = agent.history()
+        assert len(history) == 60
+        for obs in history:
+            assert obs.action.shape == (2,) and obs.action.base is None  # not a view of the offered set
 
     def test_empty_window_skips_refit(self):
         agent, _ = self._run((6, 0, 2), 60)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from relu_bandits import (
     t0_schedule,
     zeta_bound,
 )
-from relu_bandits.cli import main
+from relu_bandits.cli import main, parse_experiment_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = {
     "k": 1,
@@ -51,6 +54,123 @@ def tiny_run(tmp_path_factory):
     with contextlib.redirect_stdout(buf):
         code = main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "1"])
     return code, buf.getvalue(), out
+
+
+FIT_DEFAULT = {"restarts": 10, "max_iters": 600, "step_size": 0.2, "tol": 1e-09, "seed": 0}
+
+# every algorithm, every top-level and per-algorithm default, `fit` left out
+# and partly set, `practical_override` set and left out
+ALL_DEFAULTS = {
+    "k": 2,
+    "d": 3,
+    "T": 300,
+    "trials": 2,
+    "arms_per_round": 5,
+    "algorithms": [
+        {"name": "random"},
+        {"name": "oful"},
+        {"name": "ofu_relu"},
+        {"name": "ofu_relu", "label": "relu_fit", "t0": 7, "nu": 0.25, "fit": {"restarts": 3, "tol": 1e-6}},
+        {"name": "ofu_relu_plus", "T1": 5, "practical_override": [3, 2, 2, 1, 1, 1, 1, 1]},
+        {
+            "name": "ofu_relu_plus", "label": "plus_sched", "nu0": 0.5, "a": 3, "b": 1.5, "C1": 2, "C2": 0.5,
+            "lambda": 0.1, "S": 2, "delta": 0.05, "ucb_sigma": 0.2, "fit": {"seed": 4},
+        },
+    ],
+}
+
+# T = 1 takes the short-horizon delta default
+ONE_ROUND = {
+    "k": 1, "d": 2, "T": 1, "trials": 2, "arms_per_round": 1, "sigma": 0.0, "alpha0": 0.5, "seed": 9,
+    "out_dir": "o", "algorithms": [{"name": "oful", "label": "o1"}],
+}
+
+# resolved echoes frozen from the hand-written parser this table replaced
+GOLDEN_ECHO = {
+    "fig2a": {
+        "k": 3, "d": 2, "T": 1000, "trials": 50, "arms_per_round": 1000, "sigma": 0.1, "alpha0": 0.9,
+        "seed": 1, "out_dir": "results/fig2a",
+        "algorithms": [
+            {
+                "name": "ofu_relu", "label": "ofu_relu", "t0": 20, "nu": 0.0, "lambda": 0.01,
+                "S": 3.872983346207417, "delta": 0.03162277660168379, "ucb_sigma": 0.1, "fit": FIT_DEFAULT,
+            },
+            {
+                "name": "oful", "label": "oful", "lambda": 0.01, "S": 1.7320508075688772,
+                "delta": 0.03162277660168379, "ucb_sigma": 0.1,
+            },
+            {"name": "random", "label": "random"},
+        ],
+    },
+    "fig2b": {
+        "k": 10, "d": 2, "T": 1000, "trials": 50, "arms_per_round": 1000, "sigma": 0.1, "alpha0": 0.1,
+        "seed": 2, "out_dir": "results/fig2b",
+        "algorithms": [
+            {
+                "name": "ofu_relu", "label": "ofu_relu", "t0": 20, "nu": 0.0, "lambda": 0.01,
+                "S": 7.0710678118654755, "delta": 0.03162277660168379, "ucb_sigma": 0.1, "fit": FIT_DEFAULT,
+            },
+            {
+                "name": "oful", "label": "oful", "lambda": 0.01, "S": 3.1622776601683795,
+                "delta": 0.03162277660168379, "ucb_sigma": 0.1,
+            },
+            {"name": "random", "label": "random"},
+        ],
+    },
+    "all_defaults": {
+        "k": 2, "d": 3, "T": 300, "trials": 2, "arms_per_round": 5, "sigma": 0.1, "alpha0": 0.0, "seed": 0,
+        "out_dir": "results",
+        "algorithms": [
+            {"name": "random", "label": "random"},
+            {
+                "name": "oful", "label": "oful", "lambda": 1.0, "S": 1.4142135623730951,
+                "delta": 0.05773502691896257, "ucb_sigma": 0.1,
+            },
+            {
+                "name": "ofu_relu", "label": "ofu_relu", "t0": 20, "nu": 0.0, "lambda": 1.0,
+                "S": 3.1622776601683795, "delta": 0.05773502691896257, "ucb_sigma": 0.1, "fit": FIT_DEFAULT,
+            },
+            {
+                "name": "ofu_relu", "label": "relu_fit", "t0": 7, "nu": 0.25, "lambda": 1.0,
+                "S": 3.1622776601683795, "delta": 0.05773502691896257, "ucb_sigma": 0.1,
+                "fit": {"restarts": 3, "max_iters": 600, "step_size": 0.2, "tol": 1e-06, "seed": 0},
+            },
+            {
+                "name": "ofu_relu_plus", "label": "ofu_relu_plus", "nu0": 1.0, "T1": 5, "a": 2.0,
+                "b": 1.0218971486541166, "C1": 1.0, "C2": 1.0, "practical_override": [3, 2, 2, 1, 1, 1, 1, 1],
+                "lambda": 1.0, "S": 3.1622776601683795, "delta": 0.05773502691896257, "ucb_sigma": 0.1,
+                "fit": FIT_DEFAULT,
+            },
+            {
+                "name": "ofu_relu_plus", "label": "plus_sched", "nu0": 0.5, "T1": 10, "a": 3.0, "b": 1.5,
+                "C1": 2.0, "C2": 0.5, "practical_override": None, "lambda": 0.1, "S": 2.0, "delta": 0.05,
+                "ucb_sigma": 0.2,
+                "fit": {"restarts": 10, "max_iters": 600, "step_size": 0.2, "tol": 1e-09, "seed": 4},
+            },
+        ],
+    },
+    "one_round": {
+        "k": 1, "d": 2, "T": 1, "trials": 2, "arms_per_round": 1, "sigma": 0.0, "alpha0": 0.5, "seed": 9,
+        "out_dir": "o",
+        "algorithms": [{"name": "oful", "label": "o1", "lambda": 1.0, "S": 1.0, "delta": 0.5, "ucb_sigma": 0.0}],
+    },
+}
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize(
+        "name,raw",
+        [
+            ("fig2a", json.loads((CONFIGS / "fig2a.json").read_text())),
+            ("fig2b", json.loads((CONFIGS / "fig2b.json").read_text())),
+            ("all_defaults", ALL_DEFAULTS),
+            ("one_round", ONE_ROUND),
+        ],
+    )
+    def test_echo_matches_golden(self, name, raw):
+        echo = parse_experiment_config(raw).echo
+        # sorted JSON tells 2 from 2.0 and None from a missing key
+        assert json.dumps(echo, sort_keys=True) == json.dumps(GOLDEN_ECHO[name], sort_keys=True)
 
 
 class TestCheckBounds:
@@ -181,6 +301,24 @@ class TestSimulate:
         assert f"'{key}'" in err and "finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "block,field",
+        [
+            ({"name": "ofu_relu", "fit": {"restarts": "ten"}}, "algorithms[0].fit"),
+            ({"name": "ofu_relu", "fit": {"bogus": 1}}, "algorithms[0].fit"),
+            ({"name": "ofu_relu_plus", "T1": 50}, "T1"),
+            ({"name": "ofu_relu_plus", "T1": 8, "practical_override": [4]}, "practical_override"),
+        ],
+        ids=["fit-type", "fit-unknown-key", "T-below-T1", "override-too-short"],
+    )
+    def test_bad_block_exit2_before_output(self, tmp_path, capsys, block, field):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, algorithms=[block]))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert err.count("algorithms[0]") == 1  # the location is named once
+        assert not (tmp_path / "o").exists()
+
     def test_single_trial_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, trials=1))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -246,6 +384,12 @@ class TestEstimate:
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": math.nan})
         assert main(["estimate", "--config", cfg]) == 2
         assert "'delta'" in capsys.readouterr().err
+
+    def test_boolean_sample_size_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": [True]})
+        assert main(["estimate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "'sample_sizes'" in captured.err and captured.out == ""
 
     def test_empty_sample_sizes_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": []})

@@ -4,24 +4,18 @@ import numpy as np
 import pytest
 
 from relu_bandits import (
-    ArmSet,
     DimensionMismatchError,
     ReluNetwork,
     UnsupportedDimensionError,
     eval_f,
     eval_f_batch,
     exact_argmax_2d,
-    frozen_features,
     gap_of,
     margin_mask,
-    restrict_arms,
-    sign_corrected_parameter,
-    sign_robust_features,
     sign_robust_features_batch,
-    transform_arm,
 )
 
-from oracles import eval_f_reference, grid_argmax_2d
+from oracles import eval_f_reference, grid_argmax_2d, sign_corrected_parameter
 
 RT2 = math.sqrt(2.0)
 
@@ -29,6 +23,16 @@ RT2 = math.sqrt(2.0)
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def lift(x, est):
+    """Sign-robust features of one action."""
+    return sign_robust_features_batch(np.asarray(x, dtype=float)[None, :], est)[0]
+
+
+def frozen(x, est):
+    """Indicator-frozen features of one action: the first kd entries of its lift."""
+    return lift(x, est)[: est.k * est.d]
 
 
 def random_net(rng, k, d):
@@ -92,43 +96,34 @@ class TestEvalF:
 
 class TestFrozenFeatures:
     def test_active(self):
-        out = frozen_features(np.array([0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
+        out = frozen(np.array([0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
         np.testing.assert_allclose(out, [0.6, 0.8])
 
     def test_inactive(self):
-        out = frozen_features(np.array([-0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
+        out = frozen(np.array([-0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
         np.testing.assert_allclose(out, [0.0, 0.0])
 
     def test_boundary_counts_active(self):
         # first neuron sits exactly on its boundary (dot = 0 counts active),
         # the second is strictly negative
         est = ReluNetwork(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        out = frozen_features(np.array([0.0, 1.0]), est)
+        out = frozen(np.array([0.0, 1.0]), est)
         np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 0.0])
 
 
 class TestSignRobustFeatures:
     def test_active_blocks(self):
-        out = sign_robust_features(np.array([0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
+        out = lift(np.array([0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
         np.testing.assert_allclose(out, [0.6, 0.8, -0.3, -0.4])
 
     def test_inactive_blocks(self):
-        out = sign_robust_features(np.array([-0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
+        out = lift(np.array([-0.6, 0.8]), ReluNetwork(np.array([[1.0, 0.0]])))
         np.testing.assert_allclose(out, [0.0, 0.0, -0.3, 0.4])
 
     def test_length_2kd(self):
         rng = np.random.default_rng(2)
         est = random_net(rng, 3, 2)
-        assert sign_robust_features(unit([1.0, 1.0]), est).shape == (12,)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(3)
-        est = random_net(rng, 3, 4)
-        X = rng.standard_normal((17, 4))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        batch = sign_robust_features_batch(X, est)
-        for i in range(17):
-            np.testing.assert_allclose(batch[i], sign_robust_features(X[i], est), atol=1e-15)
+        assert lift(unit([1.0, 1.0]), est).shape == (12,)
 
     def test_block_structure(self):
         # every block is the raw action scaled by {0,1} (first k) or
@@ -136,9 +131,7 @@ class TestSignRobustFeatures:
         rng = np.random.default_rng(4)
         est = random_net(rng, 4, 3)
         x = unit(rng.standard_normal(3))
-        arm = transform_arm(x, est, estimate_id=7)
-        assert arm.source_estimate_id == 7
-        feats = arm.features.reshape(2 * 4, 3)
+        feats = lift(x, est).reshape(2 * 4, 3)
         for i in range(4):
             scale = feats[i] @ x  # x is unit so scale recovers the factor
             assert scale in (0.0, 1.0) or abs(scale - 1.0) < 1e-12 or abs(scale) < 1e-12
@@ -166,7 +159,7 @@ class TestSignCorrectedParameter:
         est = ReluNetwork(np.array([[-1.0, 0.0]]))
         theta = sign_corrected_parameter(truth, est, 0.5)
         x = np.array([0.6, 0.8])
-        assert sign_robust_features(x, est) @ theta == pytest.approx(0.6, abs=1e-12)
+        assert lift(x, est) @ theta == pytest.approx(0.6, abs=1e-12)
         assert eval_f(truth, x) == pytest.approx(0.6, abs=1e-12)
 
     def test_nonpositive_nu_rejected(self):
@@ -187,43 +180,17 @@ class TestSignCorrectedParameter:
 
 
 class TestRestrictArms:
+    """Arm restriction by margin: ``margin_mask`` keeps |we_i . x| >= nu for every i."""
+
     def test_filters_by_margin(self):
-        arms = ArmSet(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
         est = ReluNetwork(np.array([[1.0, 0.0]]))
-        kept, fallback = restrict_arms(arms, est, 0.5)
-        assert not fallback
-        np.testing.assert_allclose(kept.arms, [[1.0, 0.0], [0.6, 0.8]])
+        np.testing.assert_array_equal(margin_mask(arms, est, 0.5), [True, False, True])
 
     def test_nu_zero_is_identity(self):
-        arms = ArmSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        arms = np.array([[1.0, 0.0], [0.0, 1.0]])
         est = ReluNetwork(np.array([[1.0, 0.0]]))
-        kept, fallback = restrict_arms(arms, est, 0.0)
-        assert not fallback
-        np.testing.assert_array_equal(kept.arms, arms.arms)
-
-    def test_impossible_margin_falls_back(self):
-        arms = ArmSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        est = ReluNetwork(np.array([[1.0, 0.0]]))
-        kept, fallback = restrict_arms(arms, est, 2.0)
-        assert fallback
-        np.testing.assert_array_equal(kept.arms, arms.arms)
-
-    def test_negative_nu_rejected(self):
-        arms = ArmSet(np.array([[1.0, 0.0]]))
-        est = ReluNetwork(np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            restrict_arms(arms, est, -0.1)
-
-    def test_mask_agrees_with_restrict(self):
-        rng = np.random.default_rng(6)
-        est = random_net(rng, 2, 3)
-        X = rng.standard_normal((30, 3))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        mask = margin_mask(X, est, 0.3)
-        kept, fallback = restrict_arms(ArmSet(X), est, 0.3)
-        if mask.any():
-            assert not fallback
-            np.testing.assert_array_equal(kept.arms, X[mask])
+        assert margin_mask(arms, est, 0.0).all()
 
 
 class TestGapOf:
@@ -290,14 +257,10 @@ class TestLinearizationIdentity:
             theta = sign_corrected_parameter(truth, est, nu)
             X = rng.standard_normal((300, d))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            kept, fallback = restrict_arms(ArmSet(X), est, nu / 2.0)
-            if fallback:
-                continue
-            feats = sign_robust_features_batch(kept.arms, est)
-            lhs = feats @ theta
-            rhs = eval_f_batch(truth, kept.arms)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-            checked += len(kept.arms)
+            kept = X[margin_mask(X, est, nu / 2.0)]
+            lhs = sign_robust_features_batch(kept, est) @ theta
+            np.testing.assert_allclose(lhs, eval_f_batch(truth, kept), atol=1e-9)
+            checked += len(kept)
         assert checked > 1000
 
     def test_indicator_consistency(self):
@@ -336,6 +299,6 @@ class TestLinearizationIdentity:
             mask = margin_mask(X, est, nu / 2.0)
             if not mask.any():
                 continue
-            for x in X[mask][:20]:
-                lhs = frozen_features(x, est) @ truth.weights.reshape(-1)
-                assert lhs == pytest.approx(eval_f(truth, x), abs=1e-9)
+            kept = X[mask][:20]
+            lhs = sign_robust_features_batch(kept, est)[:, : k * d] @ truth.weights.reshape(-1)
+            np.testing.assert_allclose(lhs, eval_f_batch(truth, kept), rtol=0, atol=1e-9)
