@@ -8,7 +8,6 @@ writers (reporting) and a CLI (cli).
 """
 
 from .agents import (
-    AgentObservation,
     BatchGrid,
     OfulAgent,
     OfulConfig,
@@ -35,7 +34,6 @@ from .estimation import (
     BoundParams,
     FitConfig,
     MatchResult,
-    Sample,
     alpha_bound,
     empirical_sq_loss,
     fit_erm,
@@ -55,9 +53,7 @@ from .harness import (
 )
 from .linear_ucb import LinearUcbState, UcbConfig, conf_radius, init_state, ridge_update, ucb_select
 from .relu_model import (
-    ArmSet,
     ReluNetwork,
-    eval_f,
     eval_f_batch,
     exact_argmax_2d,
     gap_of,
@@ -67,9 +63,7 @@ from .relu_model import (
 from .reporting import emit_svg, export_csv, write_summary
 
 __all__ = [
-    "AgentObservation",
     "AggregateResult",
-    "ArmSet",
     "BatchGrid",
     "BoundParams",
     "BoundVacuousError",
@@ -92,7 +86,6 @@ __all__ = [
     "RandomAgent",
     "RandomConfig",
     "ReluNetwork",
-    "Sample",
     "TrialTrace",
     "UcbConfig",
     "UnsupportedDimensionError",
@@ -102,7 +95,6 @@ __all__ = [
     "conf_radius",
     "emit_svg",
     "empirical_sq_loss",
-    "eval_f",
     "eval_f_batch",
     "exact_argmax_2d",
     "export_csv",

@@ -1,8 +1,9 @@
 """Bandit policies behind a common step-wise protocol.
 
-Every agent exposes ``select_arm(arms, rng) -> index`` and ``observe(y)``,
-and the two must strictly alternate (ProtocolError otherwise).  One agent
-instance serves one trial; distinct trials never share state.
+Every agent exposes ``select_arm(arms, rng) -> index`` on an (m, d) array of
+unit rows and ``observe(y)`` for the chosen row's reward, and the two must
+strictly alternate (ProtocolError otherwise).  One agent instance serves one
+trial; distinct trials never share state.
 
 Policies:
 
@@ -32,22 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .estimation import BoundParams, FitConfig, Sample, fit_erm, t0_schedule
+from .estimation import BoundParams, FitConfig, fit_erm, t0_schedule
 from .linear_ucb import LinearUcbState, UcbConfig, init_state, ridge_update, ucb_select
-from .relu_model import ArmSet, ReluNetwork, margin_mask, sign_robust_features_batch
-
-
-@dataclass(frozen=True, eq=False)
-class AgentObservation:
-    """One completed round: the chosen action and its reward.
-
-    ``action`` is a copy of the chosen row, so a stored observation does not
-    keep the whole offered set alive.
-    """
-
-    t: int
-    action: np.ndarray
-    reward: float
+from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,6 @@ class BatchGrid:
     boundaries: tuple[int, ...]  # length M+1, starting at T_0 = 0
     nus: tuple[float, ...]  # nu_i = nu0 / b^i, one per batch
     explore_sizes: tuple[int, ...]  # one per batch
-    schedule_clamped: bool  # True when a schedule-derived size hit the batch length
 
     def batch_length(self, i: int) -> int:
         return self.boundaries[i + 1] - self.boundaries[i]
@@ -134,8 +121,8 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
 
     The last boundary is clamped to T.  Schedule-derived exploration sizes are
     the increments max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))), clamped to the
-    batch length (and flagged when clamping bites); an override list is stored
-    verbatim and only clamped at execution time.
+    batch length; an override list is stored verbatim and only clamped at
+    execution time.
     """
     if T < cfg.T1:
         raise ConfigError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
@@ -149,7 +136,6 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
         boundaries.append(bound)
     boundaries[-1] = T
     nus = tuple(cfg.nu0 / cfg.b**i for i in range(1, M + 1))
-    clamped = False
     if cfg.practical_override is not None:
         if len(cfg.practical_override) < M:
             raise ConfigError(
@@ -164,13 +150,9 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
             cur = math.ceil(t0_schedule(nus[i], params))
             raw_size = max(0, cur - prev)
             prev = cur
-            batch_len = boundaries[i + 1] - boundaries[i]
-            if raw_size > batch_len:
-                clamped = True
-                raw_size = batch_len
-            sizes.append(raw_size)
+            sizes.append(min(raw_size, boundaries[i + 1] - boundaries[i]))
         sizes = tuple(sizes)
-    return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes, schedule_clamped=clamped)
+    return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes)
 
 
 class _SequentialAgent:
@@ -180,15 +162,15 @@ class _SequentialAgent:
 
     def __init__(self):
         self._t = 0  # rounds completed
-        self._pending: np.ndarray | None = None  # the chosen action awaiting its reward
+        self._pending: np.ndarray | None = None  # the chosen row awaiting its reward
 
-    def select_arm(self, arms: ArmSet, rng: np.random.Generator) -> int:
+    def select_arm(self, arms: np.ndarray, rng: np.random.Generator) -> int:
         if self._pending is not None:
             raise ProtocolError("observe() must be called before the next select_arm()")
         idx = int(self._select(arms, rng, self._t + 1))
         if not 0 <= idx < len(arms):
             raise ValueError(f"chosen index {idx} outside the offered set of {len(arms)}")
-        self._pending = arms.arms[idx].copy()
+        self._pending = arms[idx]
         return idx
 
     def observe(self, y: float) -> None:
@@ -196,12 +178,12 @@ class _SequentialAgent:
             raise ProtocolError("select_arm() must be called before observe()")
         action, self._pending = self._pending, None
         self._t += 1
-        self._observe(AgentObservation(t=self._t, action=action, reward=float(y)))
+        self._observe(self._t, action, float(y))
 
-    def _select(self, arms: ArmSet, rng: np.random.Generator, t: int) -> int:
+    def _select(self, arms: np.ndarray, rng: np.random.Generator, t: int) -> int:
         raise NotImplementedError
 
-    def _observe(self, obs: AgentObservation) -> None:
+    def _observe(self, t: int, action: np.ndarray, reward: float) -> None:
         raise NotImplementedError
 
 
@@ -213,7 +195,7 @@ class RandomAgent(_SequentialAgent):
     def _select(self, arms, rng, t):
         return int(rng.integers(len(arms)))
 
-    def _observe(self, obs):
+    def _observe(self, t, action, reward):
         pass
 
 
@@ -231,10 +213,10 @@ class OfulAgent(_SequentialAgent):
         return self._ridge
 
     def _select(self, arms, rng, t):
-        return ucb_select(self._ridge, self._cfg.ucb, arms.arms)
+        return ucb_select(self._ridge, self._cfg.ucb, arms)
 
-    def _observe(self, obs):
-        self._ridge = ridge_update(self._ridge, obs.action, obs.reward)
+    def _observe(self, t, action, reward):
+        self._ridge = ridge_update(self._ridge, action, reward)
 
 
 class _LiftedUcbAgent(_SequentialAgent):
@@ -262,14 +244,14 @@ class _LiftedUcbAgent(_SequentialAgent):
     def ridge(self) -> LinearUcbState:
         return self._ridge
 
-    def _ucb_round(self, arms: ArmSet, est: ReluNetwork, nu: float) -> int:
+    def _ucb_round(self, arms: np.ndarray, est: ReluNetwork, nu: float) -> int:
         """Pick among the arms with margin nu/2 under est; keep the pick's features."""
-        mask = margin_mask(arms.arms, est, nu / 2.0)
+        mask = margin_mask(arms, est, nu / 2.0)
         if not mask.any():
             self.fallback_rounds += 1
             mask = np.ones(len(arms), dtype=bool)
         kept = np.flatnonzero(mask)
-        feats = sign_robust_features_batch(arms.arms[kept], est)
+        feats = sign_robust_features_batch(arms[kept], est)
         j = ucb_select(self._ridge, self._cfg.ucb, feats)
         self._pending_features = feats[j]
         return int(kept[j])
@@ -279,12 +261,14 @@ class OfuReluAgent(_LiftedUcbAgent):
     """Explore, fit once, then UCB over sign-robust features.
 
     The ridge state lives in the 2kd lifted space and absorbs only the
-    post-exploration observations; exploration samples feed the fit.
+    post-exploration observations; the t0 exploration rows and rewards feed
+    the fit.
     """
 
     def __init__(self, k: int, d: int, cfg: OfuReluConfig, estimate: ReluNetwork | None = None):
         super().__init__(k, d, cfg)
-        self._samples: list[Sample] = []
+        self._X = np.empty((cfg.t0, d))
+        self._y = np.empty(cfg.t0)
         self._estimate = estimate
         self._fit_done = estimate is not None
 
@@ -293,34 +277,36 @@ class OfuReluAgent(_LiftedUcbAgent):
             return int(rng.integers(len(arms)))
         return self._ucb_round(arms, self._estimate, self._cfg.nu)
 
-    def _observe(self, obs):
-        if obs.t <= self._cfg.t0:
-            self._samples.append(Sample(x=obs.action, y=obs.reward))
-            if obs.t == self._cfg.t0 and not self._fit_done:
-                self._estimate = fit_erm(self._samples, self._k, self._cfg.fit)
+    def _observe(self, t, action, reward):
+        if t <= self._cfg.t0:
+            self._X[t - 1], self._y[t - 1] = action, reward
+            if t == self._cfg.t0 and not self._fit_done:
+                self._estimate = fit_erm(self._X, self._y, self._k, self._cfg.fit)
                 self._fit_done = True
         else:
-            self._ridge = ridge_update(self._ridge, self._pending_features, obs.reward)
+            self._ridge = ridge_update(self._ridge, self._pending_features, reward)
             self._pending_features = None
 
 
 class OfuReluPlusAgent(_LiftedUcbAgent):
     """Batched agent: refit per batch, never discarding data.
 
-    Within batch i the first explore_sizes[i] rounds (clamped to the batch)
-    sample uniformly and extend the cumulative exploration pool; the refit at
-    the end of that stretch re-estimates the model on the whole pool and
-    rebuilds the ridge state by replaying the entire history under the new
-    estimate.  Between refits every observation (exploratory or not) also
-    enters the ridge incrementally, so the state always equals a from-scratch
-    replay under the current estimate.
+    The agent keeps one history of its T rounds: chosen rows, rewards and an
+    explored flag.  Within batch i the first explore_sizes[i] rounds (clamped
+    to the batch) sample uniformly; the refit at the end of that stretch
+    re-estimates the model on every explored round so far and rebuilds the
+    ridge state by replaying the entire history under the new estimate.
+    Between refits every observation (exploratory or not) also enters the
+    ridge incrementally, so the state always equals a from-scratch replay
+    under the current estimate.
     """
 
     def __init__(self, k: int, d: int, T: int, cfg: OfuReluPlusConfig):
         super().__init__(k, d, cfg)
         self.grid = build_batch_grid(cfg, T)
-        self._history: list[AgentObservation] = []
-        self._pool: list[Sample] = []
+        self._actions = np.empty((T, d))
+        self._rewards = np.empty(T)
+        self._explored = np.zeros(T, dtype=bool)
         self.forced_exploration_rounds = 0
         # explore window of each batch, resolved with runtime clamping
         self._explore_end = []
@@ -331,10 +317,12 @@ class OfuReluPlusAgent(_LiftedUcbAgent):
 
     @property
     def pool_size(self) -> int:
-        return len(self._pool)
+        """Number of explored rounds, the rows the next refit uses."""
+        return int(self._explored[: self._t].sum())
 
-    def history(self) -> list[AgentObservation]:
-        return list(self._history)
+    def history(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the (t, d) chosen rows and t rewards of the rounds so far."""
+        return self._actions[: self._t].copy(), self._rewards[: self._t].copy()
 
     def _batch_of(self, t: int) -> int:
         for i in range(self.grid.M):
@@ -359,33 +347,32 @@ class OfuReluPlusAgent(_LiftedUcbAgent):
             return int(rng.integers(len(arms)))
         return self._ucb_round(arms, self._estimate, self.grid.nus[self._batch_of(t)])
 
-    def _observe(self, obs):
-        self._history.append(obs)
+    def _observe(self, t, action, reward):
+        self._actions[t - 1], self._rewards[t - 1] = action, reward
         if self._pending_features is not None:
             # a UCB round: absorb under the current estimate
-            self._ridge = ridge_update(self._ridge, self._pending_features, obs.reward)
+            self._ridge = ridge_update(self._ridge, self._pending_features, reward)
             self._pending_features = None
             return
         # an exploration round
-        self._pool.append(Sample(x=obs.action, y=obs.reward))
+        self._explored[t - 1] = True
         if self._estimate is not None:
-            feats = sign_robust_features_batch(obs.action[None, :], self._estimate)[0]
-            self._ridge = ridge_update(self._ridge, feats, obs.reward)
-        i = self._batch_of(obs.t)
-        if obs.t == self._explore_end[i] and self.grid.boundaries[i] < self._explore_end[i]:
+            feats = sign_robust_features_batch(action[None, :], self._estimate)[0]
+            self._ridge = ridge_update(self._ridge, feats, reward)
+        i = self._batch_of(t)
+        if t == self._explore_end[i] and self.grid.boundaries[i] < self._explore_end[i]:
             self._refit()
 
     def _refit(self):
-        self._estimate = fit_erm(self._pool, self._k, self._cfg.fit)
+        X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
+        self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
         self._ridge = self._rebuild_ridge(self._estimate)
 
     def _rebuild_ridge(self, est: ReluNetwork) -> LinearUcbState:
         state = init_state(2 * self._k * self._d, self._cfg.ucb.lam)
-        if self._history:
-            actions = np.stack([o.action for o in self._history])
-            feats = sign_robust_features_batch(actions, est)
-            for row, o in zip(feats, self._history):
-                state = ridge_update(state, row, o.reward)
+        feats = sign_robust_features_batch(self._actions[: self._t], est)
+        for row, y in zip(feats, self._rewards[: self._t]):
+            state = ridge_update(state, row, y)
         return state
 
 

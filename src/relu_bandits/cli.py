@@ -24,7 +24,6 @@ from .errors import BoundVacuousError, ConfigError
 from .estimation import (
     BoundParams,
     FitConfig,
-    Sample,
     alpha_bound,
     fit_erm,
     h_bound,
@@ -161,13 +160,26 @@ def _parse_algorithm(block, where: str, ctx: tuple) -> dict:
     return _parse(block, {"name": (str, REQUIRED), "label": (str, name), **ALGORITHMS[name]}, where, ctx)
 
 
-def _build_algorithm(p: dict, k: int, d: int, T: int, sigma: float) -> AgentConfig:
+def _check_alpha0(k: int, alpha0: float) -> None:
+    # for unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2)
+    if k >= 2 and alpha0 > math.sqrt(2.0):
+        raise ConfigError(f"alpha0={alpha0} is infeasible: with k >= 2 it can be at most sqrt(2)")
+
+
+def _fit_config(p: dict, where: str) -> FitConfig:
+    """Build a FitConfig from a resolved fit block, naming the block in its range errors."""
+    try:
+        return FitConfig(**p)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int, sigma: float) -> AgentConfig:
     if p["name"] == "random":
         return RandomConfig(label=p["label"])
     ucb = UcbConfig(sigma=p["ucb_sigma"], S=p["S"], delta=p["delta"], lam=p["lambda"])
     if p["name"] == "oful":
         return OfulConfig(ucb=ucb, label=p["label"])
-    fit = FitConfig(**p["fit"])
     if p["name"] == "ofu_relu":
         return OfuReluConfig(t0=p["t0"], nu=p["nu"], ucb=ucb, fit=fit, label=p["label"])
     # schedule sigma is the environment noise level, not the UCB one
@@ -193,14 +205,16 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
         raise ConfigError("trials must be at least 2 (confidence intervals need two runs)")
     if sigma < 0.0 or p["alpha0"] < 0.0 or p["seed"] < 0:
         raise ConfigError("sigma, alpha0 and seed must be nonnegative")
+    _check_alpha0(k, p["alpha0"])
     if not p["algorithms"]:
         raise ConfigError("'algorithms' must be a nonempty list")
     algos, echoes = [], []
     for i, blk in enumerate(p["algorithms"]):
         where = f"algorithms[{i}]"
         echoes.append(_parse_algorithm(blk, where, (k, T, sigma)))
+        fit = _fit_config(echoes[-1]["fit"], f"{where}.fit") if "fit" in echoes[-1] else None
         try:
-            algos.append(_build_algorithm(echoes[-1], k, d, T, sigma))
+            algos.append(_build_algorithm(echoes[-1], fit, k, d, T, sigma))
         except ValueError as exc:  # invariant and grid errors carry no location
             raise ConfigError(f"{where}: {exc}") from exc
     labels = [a.label for a in algos]
@@ -284,14 +298,14 @@ def cmd_estimate(args) -> int:
         raise ConfigError("'sample_sizes' must be a nonempty list of positive integers")
     if k < 1 or d < 2 or sigma < 0.0 or alpha0 < 0.0 or seed < 0 or not 0.0 < delta < 1.0:
         raise ConfigError("invalid estimate parameters (need k >= 1, d >= 2, sigma >= 0, delta in (0,1))")
-    fit = FitConfig(**cfg["fit"])
+    _check_alpha0(k, alpha0)
+    fit = _fit_config(cfg["fit"], "config.fit")
     inst = gen_instance(k, d, alpha0, sigma, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
     data_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 1)))
     for n in sizes:
-        xs = sample_arms(n, d, data_rng).arms
+        xs = sample_arms(n, d, data_rng)
         ys = eval_f_batch(inst.truth, xs) + sigma * data_rng.standard_normal(n)
-        data = [Sample(x=xs[i], y=float(ys[i])) for i in range(n)]
-        est = fit_erm(data, k, fit)
+        est = fit_erm(xs, ys, k, fit)
         res = match_neurons(est, inst.truth)
         p = BoundParams(k=k, d=d, sigma=sigma, delta=delta, T=float(max(n, 3)))
         zeta = zeta_bound(n, p)

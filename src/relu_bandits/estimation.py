@@ -1,4 +1,4 @@
-"""Fitting the ReLU reward model from samples, and its closed-form theory.
+"""Fitting the ReLU reward model from samples (X, y), and its closed-form theory.
 
 ``fit_erm`` minimizes the empirical squared loss with multi-restart projected
 gradient descent (rows re-normalized to the unit sphere after every step);
@@ -19,24 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError
-from .relu_model import NORM_TOL, ReluNetwork
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One observation: a unit-norm action and the reward it drew."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        a = np.asarray(self.x, dtype=np.float64)
-        if a.ndim != 1:
-            raise DimensionMismatchError(f"sample action must be a vector, got shape {a.shape}")
-        if abs(float(np.linalg.norm(a)) - 1.0) > NORM_TOL:
-            raise ValueError("sample action must have unit norm")
-        object.__setattr__(self, "x", a)
-        object.__setattr__(self, "y", float(self.y))
+from .relu_model import ReluNetwork, _as_unit_rows
 
 
 @dataclass(frozen=True)
@@ -97,21 +80,18 @@ class BoundParams:
             raise ValueError("C1 and C2 must be positive")
 
 
-def _stack_samples(data) -> tuple[np.ndarray, np.ndarray]:
-    if not data:
-        raise ValueError("data must be nonempty")
-    d = data[0].x.shape[0]
-    for s in data:
-        if s.x.shape[0] != d:
-            raise DimensionMismatchError("samples have inconsistent dimensions")
-    X = np.stack([s.x for s in data])
-    y = np.array([s.y for s in data], dtype=np.float64)
+def _as_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Fit data as an (n, d) array of unit rows and n float labels."""
+    X = _as_unit_rows(X, "X")
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     return X, y
 
 
-def empirical_sq_loss(net: ReluNetwork, data) -> float:
-    """(1/n) * sum_i (f(x_i) - y_i)^2."""
-    X, y = _stack_samples(data)
+def empirical_sq_loss(net: ReluNetwork, X, y) -> float:
+    """(1/n) * sum_i (f(x_i) - y_i)^2 over the rows x_i of X."""
+    X, y = _as_data(X, y)
     if X.shape[1] != net.d:
         raise DimensionMismatchError(f"samples have dimension {X.shape[1]}, network expects {net.d}")
     p = X @ net.weights.T
@@ -130,8 +110,8 @@ def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     return w / norms
 
 
-def fit_erm(data, k: int, cfg: FitConfig) -> ReluNetwork:
-    """Best-of-restarts projected gradient descent on the empirical loss.
+def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
+    """Best-of-restarts projected gradient descent on the loss over rows X, labels y.
 
     The restarts descend together as one (R, k, d) stack, their initial rows
     drawn restart by restart from one generator seeded with ``cfg.seed``.
@@ -146,7 +126,7 @@ def fit_erm(data, k: int, cfg: FitConfig) -> ReluNetwork:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    X, y = _stack_samples(data)
+    X, y = _as_data(X, y)
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
     W = np.stack([_unit_rows(rng, k, d) for _ in range(cfg.restarts)])

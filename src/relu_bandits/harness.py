@@ -1,6 +1,8 @@
 """Experiment harness: instances, trials, regret accounting, aggregation.
 
-Arms are redrawn fresh every round, so the regret comparator is per-round:
+An arm set is an (m, d) array of unit rows, redrawn fresh every round by
+``sample_arms`` (unit by construction, so never re-checked); a caller's
+``fixed_arms`` is checked once per trial.  The regret comparator is per-round:
 r_t = max over the round's offered set of f minus f(chosen).  With a fixed
 arm set this reduces to the usual fixed-comparator regret.
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .agents import AgentConfig, _SequentialAgent, make_agent
 from .errors import GenerationError
-from .relu_model import ArmSet, ReluNetwork, eval_f_batch
+from .relu_model import ReluNetwork, _as_unit_rows, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
 
@@ -46,7 +48,6 @@ class TrialTrace:
     algorithm: str
     seed: int
     t: np.ndarray
-    set_ids: np.ndarray
     chosen: np.ndarray
     rewards: np.ndarray
     inst_regret: np.ndarray
@@ -54,7 +55,7 @@ class TrialTrace:
 
     def __post_init__(self):
         n = len(self.t)
-        for name in ("set_ids", "chosen", "rewards", "inst_regret", "cum_regret"):
+        for name in ("chosen", "rewards", "inst_regret", "cum_regret"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"trace field {name} has length {len(getattr(self, name))}, expected {n}")
 
@@ -83,7 +84,8 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng) -> Instance:
     """Sample k unit rows with pairwise min(|wi - wj|, |wi + wj|) >= alpha0.
 
     Rejection-resamples the whole matrix; gives up after 10^4 attempts, which
-    means alpha0 is infeasible for this (k, d) (it can never exceed 2).
+    means alpha0 is infeasible for this (k, d).  For k >= 2 it can never exceed
+    sqrt(2): for unit rows |wi - wj|^2 + |wi + wj|^2 = 4.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -112,8 +114,8 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng) -> Instance:
     )
 
 
-def sample_arms(m: int, d: int, rng, round_index: int = 0) -> ArmSet:
-    """m i.i.d. uniform unit vectors (normalized Gaussians)."""
+def sample_arms(m: int, d: int, rng) -> np.ndarray:
+    """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     gen = _as_generator(rng)
@@ -123,7 +125,7 @@ def sample_arms(m: int, d: int, rng, round_index: int = 0) -> ArmSet:
         bad = norms == 0.0
         raw[bad] = gen.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(raw, axis=1)
-    return ArmSet(arms=raw / norms[:, None], round_index=round_index)
+    return raw / norms[:, None]
 
 
 def run_trial(
@@ -135,42 +137,42 @@ def run_trial(
     *,
     trial_seed: int = -1,
     agent: _SequentialAgent | None = None,
-    fixed_arms: ArmSet | None = None,
+    fixed_arms: np.ndarray | None = None,
 ) -> TrialTrace:
     """Play one agent for T rounds and log the full trace.
 
     ``agent`` and ``fixed_arms`` are overrides for controlled experiments:
     a prebuilt agent replaces the one the config would construct, and a fixed
-    arm set suppresses per-round redrawing (the comparator then coincides
-    with the global-best one).
+    (m, d) arm set suppresses per-round redrawing (the comparator then
+    coincides with the global-best one).  ``fixed_arms`` must be nonempty,
+    finite and of unit rows in the instance's dimension.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
+    if fixed_arms is not None:
+        fixed_arms = _as_unit_rows(fixed_arms, "fixed_arms", instance.truth.d)
     gen = _as_generator(rng)
     arms_rng, noise_rng, agent_rng = gen.spawn(3)
     if agent is None:
         agent = make_agent(agent_cfg, instance.truth.k, instance.truth.d, T)
     chosen = np.empty(T, dtype=np.int64)
-    set_ids = np.empty(T, dtype=np.int64)
     rewards = np.empty(T)
     inst_regret = np.empty(T)
     for t in range(1, T + 1):
-        arms = fixed_arms if fixed_arms is not None else sample_arms(m, instance.truth.d, arms_rng, round_index=t)
+        arms = fixed_arms if fixed_arms is not None else sample_arms(m, instance.truth.d, arms_rng)
         idx = agent.select_arm(arms, agent_rng)
-        fvals = eval_f_batch(instance.truth, arms.arms)
+        fvals = eval_f_batch(instance.truth, arms)
         noise = noise_rng.standard_normal()  # drawn even when sigma = 0, for stream stability
         y = float(fvals[idx]) + instance.sigma * noise
         agent.observe(y)
         i = t - 1
         chosen[i] = idx
-        set_ids[i] = arms.round_index
         rewards[i] = y
         inst_regret[i] = float(fvals.max() - fvals[idx])
     return TrialTrace(
         algorithm=agent.label,
         seed=int(trial_seed),
         t=np.arange(1, T + 1, dtype=np.int64),
-        set_ids=set_ids,
         chosen=chosen,
         rewards=rewards,
         inst_regret=inst_regret,

@@ -19,9 +19,10 @@ test-side oracle, since it depends on the truth), the inner product
 reproduces f exactly on the arms that ``margin_mask`` keeps at margin nu/2,
 provided each neuron is matched within nu/2.
 
-Actions are plain unit-norm numpy vectors; ``ArmSet`` validates membership.
-All types are immutable after construction and all operations are pure, so
-they are safe to use from concurrently running trials.
+An action is a unit-norm row of d floats and an arm set is an (m, d) array of
+them.  The maps here trust that format; callers validate data where it enters
+(``_as_unit_rows``).  All types are immutable after construction and all
+operations are pure, so they are safe to use from concurrently running trials.
 """
 
 from __future__ import annotations
@@ -38,20 +39,19 @@ NORM_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
+def _as_unit_rows(values, name: str, d: int | None = None) -> np.ndarray:
+    """Caller data as a nonempty, finite 2-D float array of unit rows (of width d if given)."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
+    if d is not None and a.shape[1] != d:
+        raise DimensionMismatchError(f"{name} has rows of dimension {a.shape[1]}, expected {d}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _check_unit_rows(a: np.ndarray, name: str) -> None:
-    norms = np.linalg.norm(a, axis=1)
-    worst = float(np.abs(norms - 1.0).max())
+    worst = float(np.abs(np.linalg.norm(a, axis=1) - 1.0).max())
     if worst > NORM_TOL:
         raise ValueError(f"{name} rows must have unit norm within {NORM_TOL:g} (worst deviation {worst:.3e})")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +61,7 @@ class ReluNetwork:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_matrix(self.weights, "weights")
-        _check_unit_rows(w, "weights")
-        w = w.copy()
+        w = _as_unit_rows(self.weights, "weights").copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -76,28 +74,6 @@ class ReluNetwork:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ArmSet:
-    """Ordered collection of unit-norm actions offered in one round."""
-
-    arms: np.ndarray
-    round_index: int = 0
-
-    def __post_init__(self):
-        a = _as_matrix(self.arms, "arms")
-        _check_unit_rows(a, "arms")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "arms", a)
-
-    def __len__(self) -> int:
-        return self.arms.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.arms.shape[1]
-
-
 def _as_action(x, d: int) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] != d:
@@ -105,15 +81,8 @@ def _as_action(x, d: int) -> np.ndarray:
     return a
 
 
-def eval_f(net: ReluNetwork, x) -> float:
-    """f(x) = sum_i g(w_i . x); lies in [0, k] for unit-norm x."""
-    a = _as_action(x, net.d)
-    p = net.weights @ a
-    return float(np.where(p >= 0.0, p, 0.0).sum())
-
-
 def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:
-    """Vectorized ``eval_f`` over the rows of an (m, d) action matrix."""
+    """f(x) = sum_i g(w_i . x) for each row x of an (m, d) action matrix; in [0, k] for unit rows."""
     if actions.ndim != 2 or actions.shape[1] != net.d:
         raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {net.d})")
     p = actions @ net.weights.T

@@ -154,7 +154,7 @@ class TestCriterion3LinearizationIdentity:
             assert np.linalg.norm(rows - signs[:, None] * w, axis=1).max() <= nu / 2
             kept = np.empty((0, d))
             for _ in range(50):
-                arms = sample_arms(200, d, rng).arms
+                arms = sample_arms(200, d, rng)
                 kept = arms[margin_mask(arms, est, nu / 2.0)]
                 if len(kept):
                     break
@@ -335,9 +335,9 @@ class TestCriterion9PlusStructure:
         arms_rng, noise_rng, agent_rng = np.random.default_rng(56).spawn(3)
         max_dev = 0.0
         for t in range(1, T + 1):
-            arms = sample_arms(30, 2, arms_rng, round_index=t)
+            arms = sample_arms(30, 2, arms_rng)
             idx = agent.select_arm(arms, agent_rng)
-            y = float(eval_f_batch(inst.truth, arms.arms)[idx]) + 0.1 * float(noise_rng.standard_normal())
+            y = float(eval_f_batch(inst.truth, arms)[idx]) + 0.1 * float(noise_rng.standard_normal())
             agent.observe(y)
             if agent.estimate is None:
                 # before the first refit nothing may have entered the ridge
@@ -345,9 +345,10 @@ class TestCriterion9PlusStructure:
                     max_dev = math.inf
                 continue
             replay = init_state(4, ucb.lam)
-            for obs in agent.history():
-                feat = sign_robust_features_batch(obs.action[None, :], agent.estimate)[0]
-                replay = ridge_update(replay, feat, obs.reward)
+            X, rewards = agent.history()
+            for x, reward in zip(X, rewards):
+                feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
+                replay = ridge_update(replay, feat, reward)
             dev = max(
                 float(np.abs(agent.ridge.gram - replay.gram).max()),
                 float(np.abs(agent.ridge.moment - replay.moment).max()),

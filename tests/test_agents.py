@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from relu_bandits import (
-    ArmSet,
     ConfigError,
     FitConfig,
     Instance,
@@ -141,7 +140,7 @@ class TestOfulAgent:
         A[A @ theta < 0] *= -1.0  # reward is exactly linear on this half-space
         inst = Instance(truth=ReluNetwork(theta[None, :]), sigma=0.01, alpha0=0.0)
         cfg = OfulConfig(ucb=UcbConfig(sigma=0.01, S=1.0, delta=1.0 / math.sqrt(500.0), lam=0.01))
-        return inst, cfg, ArmSet(A)
+        return inst, cfg, A
 
     def test_flat_regret_on_linear_instance(self):
         inst, cfg, arms = self._linear_setup()
@@ -170,7 +169,7 @@ class TestOfuReluAgent:
         # two antipodal arms, one active neuron: zero regret after warmup
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
-        arms = ArmSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
         cfg = OfuReluConfig(t0=5, ucb=UcbConfig(sigma=0.0, S=math.sqrt(5.0), delta=0.1, lam=1.0), fit=FIT)
         tr = run_trial(inst, cfg, 40, 2, np.random.default_rng(0), fixed_arms=arms)
         assert len(tr) == 40
@@ -193,7 +192,7 @@ class TestOfuReluAgent:
         for t in range(1, 7):
             idx = agent.select_arm(arms, rng)
             assert agent.estimate is None
-            agent.observe(float(eval_f_batch(truth, arms.arms)[idx]))
+            agent.observe(float(eval_f_batch(truth, arms)[idx]))
         assert agent.estimate is not None
 
     def test_degenerate_t0_equals_T(self):
@@ -233,14 +232,14 @@ class TestOfuReluAgent:
         agent = OfuReluAgent(2, 2, cfg, estimate=truth)
         arms_rng, noise_rng, agent_rng = rng.spawn(3)
         for t in range(1, 61):
-            arms = sample_arms(30, 2, arms_rng, round_index=t)
+            arms = sample_arms(30, 2, arms_rng)
             state = agent.ridge
             idx = agent.select_arm(arms, agent_rng)
-            fvals = eval_f_batch(truth, arms.arms)
+            fvals = eval_f_batch(truth, arms)
             if t > 1:
-                kept = margin_mask(arms.arms, truth, 0.0)
+                kept = margin_mask(arms, truth, 0.0)
                 best = fvals[kept].max()
-                feat = sign_robust_features_batch(arms.arms[idx : idx + 1], truth)[0]
+                feat = sign_robust_features_batch(arms[idx : idx + 1], truth)[0]
                 beta = conf_radius(state, ucb)
                 width = math.sqrt(float(feat @ state.gram_inv @ feat))
                 assert best - fvals[idx] <= 2.0 * beta * width + 1e-9
@@ -314,19 +313,21 @@ class TestOfuReluPlusAgent:
         agent, _ = self._run((6, 3, 2), 60)
         assert agent.estimate is not None
         state = init_state(2 * 1 * 2, UCB.lam)
-        for obs in agent.history():
-            feat = sign_robust_features_batch(obs.action[None, :], agent.estimate)[0]
-            state = ridge_update(state, feat, obs.reward)
+        X, y = agent.history()
+        for x, reward in zip(X, y):
+            feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
+            state = ridge_update(state, feat, reward)
         np.testing.assert_allclose(agent.ridge.gram, state.gram, atol=1e-8)
         np.testing.assert_allclose(agent.ridge.moment, state.moment, atol=1e-8)
         np.testing.assert_allclose(agent.ridge.theta_hat, state.theta_hat, atol=1e-8)
 
     def test_history_holds_copies_of_the_chosen_rows(self):
         agent, _ = self._run((6, 3, 2), 60)
-        history = agent.history()
-        assert len(history) == 60
-        for obs in history:
-            assert obs.action.shape == (2,) and obs.action.base is None  # not a view of the offered set
+        X, y = agent.history()
+        assert X.shape == (60, 2) and y.shape == (60,)
+        assert X.base is None and y.base is None  # copies, not views of the agent's own record
+        X[:] = 0.0
+        assert np.abs(agent.history()[0]).sum() > 0.0
 
     def test_empty_window_skips_refit(self):
         agent, _ = self._run((6, 0, 2), 60)

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relu_bandits
 from relu_bandits import (
     BoundParams,
     BoundVacuousError,
@@ -306,10 +310,11 @@ class TestSimulate:
         [
             ({"name": "ofu_relu", "fit": {"restarts": "ten"}}, "algorithms[0].fit"),
             ({"name": "ofu_relu", "fit": {"bogus": 1}}, "algorithms[0].fit"),
+            ({"name": "ofu_relu_plus", "fit": {"restarts": 0}}, "algorithms[0].fit: restarts"),
             ({"name": "ofu_relu_plus", "T1": 50}, "T1"),
             ({"name": "ofu_relu_plus", "T1": 8, "practical_override": [4]}, "practical_override"),
         ],
-        ids=["fit-type", "fit-unknown-key", "T-below-T1", "override-too-short"],
+        ids=["fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short"],
     )
     def test_bad_block_exit2_before_output(self, tmp_path, capsys, block, field):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, algorithms=[block]))
@@ -331,10 +336,19 @@ class TestSimulate:
         capsys.readouterr()
 
     def test_infeasible_alpha0_exit1(self, tmp_path, capsys):
-        bad = dict(TINY, k=2, alpha0=2.1, algorithms=[{"name": "random"}])
+        # 1.2 <= sqrt(2) passes the parse, but three unit rows in the plane
+        # separate by at most 2 sin(pi/6) = 1, so instance generation gives up
+        bad = dict(TINY, k=3, d=2, alpha0=1.2, algorithms=[{"name": "random"}])
         cfg = write_config(tmp_path / "cfg.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 1
-        capsys.readouterr()
+        assert "no instance with separation" in capsys.readouterr().err
+
+    def test_alpha0_above_sqrt2_exit2_before_output(self, tmp_path, capsys):
+        bad = dict(TINY, k=2, alpha0=2.1, algorithms=[{"name": "random"}])
+        cfg = write_config(tmp_path / "cfg.json", bad)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert "alpha0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_out_dir_collision_exit1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", TINY)
@@ -396,8 +410,27 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg]) == 2
         capsys.readouterr()
 
+    def test_alpha0_above_sqrt2_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"k": 2, "d": 2, "alpha0": 2.1})
+        assert main(["estimate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "alpha0" in captured.err and captured.out == ""
+
+    def test_fit_range_error_names_block(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "fit": {"restarts": 0}})
+        assert main(["estimate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config.fit: restarts" in captured.err and captured.out == ""
+
 
 class TestEntryPoint:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported inside match_neurons only, which keeps CLI start-up short
+        src = str(Path(relu_bandits.__file__).resolve().parents[1])
+        code = "import sys, relu_bandits.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_no_subcommand_exit2(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -8,12 +8,12 @@ from relu_bandits import (
     BoundVacuousError,
     FitConfig,
     FitError,
+    DimensionMismatchError,
     ReluNetwork,
-    Sample,
     UnsupportedDimensionError,
     alpha_bound,
     empirical_sq_loss,
-    eval_f,
+    eval_f_batch,
     fit_erm,
     h_bound,
     match_neurons,
@@ -33,17 +33,27 @@ def unit_rows(rng, k, d):
 def noiseless_data(rng, net, n):
     X = rng.standard_normal((n, net.d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return [Sample(x=X[i], y=eval_f(net, X[i])) for i in range(n)]
+    return X, eval_f_batch(net, X)
 
 
 class TestSample:
+    """Fit data is checked once per call, over all of X and y."""
+
     def test_unit_norm_required(self):
-        with pytest.raises(ValueError):
-            Sample(x=np.array([1.0, 1.0]), y=0.0)
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="unit norm"):
+            fit_erm(X, [0.0, 0.0], 1, FitConfig(restarts=1, max_iters=1))
 
     def test_accepts_unit(self):
-        s = Sample(x=np.array([0.6, 0.8]), y=1.5)
-        assert s.y == 1.5
+        net = ReluNetwork(np.array([[1.0, 0.0]]))
+        assert empirical_sq_loss(net, [[0.6, 0.8]], [1.5]) == pytest.approx(0.81, abs=1e-15)
+
+    def test_label_count_must_match(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DimensionMismatchError, match="y has shape"):
+            fit_erm(X, [0.0, 0.0, 1.0], 1, FitConfig(restarts=1, max_iters=1))
+        with pytest.raises(DimensionMismatchError, match="y has shape"):
+            empirical_sq_loss(ReluNetwork(np.array([[1.0, 0.0]])), X, [0.0])
 
 
 class TestFitConfigValidation:
@@ -61,25 +71,22 @@ class TestEmpiricalSqLoss:
         rng = np.random.default_rng(0)
         net = ReluNetwork(unit_rows(rng, 2, 3))
         data = noiseless_data(rng, net, 50)
-        assert empirical_sq_loss(net, data) == pytest.approx(0.0, abs=1e-18)
+        assert empirical_sq_loss(net, *data) == pytest.approx(0.0, abs=1e-18)
 
     def test_single_residual(self):
         net = ReluNetwork(np.array([[1.0, 0.0]]))
-        data = [Sample(x=np.array([1.0, 0.0]), y=2.0)]
-        assert empirical_sq_loss(net, data) == pytest.approx(1.0, abs=1e-15)
+        assert empirical_sq_loss(net, [[1.0, 0.0]], [2.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_residuals(self):
         net = ReluNetwork(np.array([[1.0, 0.0]]))
-        data = [
-            Sample(x=np.array([1.0, 0.0]), y=0.0),  # residual 1
-            Sample(x=np.array([0.6, 0.8]), y=3.6),  # residual 3
-        ]
-        assert empirical_sq_loss(net, data) == pytest.approx(5.0, abs=1e-12)
+        X = [[1.0, 0.0], [0.6, 0.8]]
+        y = [0.0, 3.6]  # residuals 1 and 3
+        assert empirical_sq_loss(net, X, y) == pytest.approx(5.0, abs=1e-12)
 
     def test_empty_rejected(self):
         net = ReluNetwork(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
-            empirical_sq_loss(net, [])
+            empirical_sq_loss(net, np.empty((0, 2)), [])
 
 
 class TestFitErm:
@@ -87,7 +94,7 @@ class TestFitErm:
         rng = np.random.default_rng(1)
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         data = noiseless_data(rng, truth, 200)
-        est = fit_erm(data, 1, FitConfig(seed=0))
+        est = fit_erm(*data, 1, FitConfig(seed=0))
         err = min(
             np.linalg.norm(est.weights[0] - truth.weights[0]),
             np.linalg.norm(est.weights[0] + truth.weights[0]),
@@ -95,9 +102,8 @@ class TestFitErm:
         assert err < 0.05
 
     def test_degenerate_data_no_crash(self):
-        x = np.array([1.0, 0.0])
-        data = [Sample(x=x, y=0.7)] * 12
-        est = fit_erm(data, 2, FitConfig(restarts=3, max_iters=100, seed=1))
+        X = np.tile([1.0, 0.0], (12, 1))
+        est = fit_erm(X, np.full(12, 0.7), 2, FitConfig(restarts=3, max_iters=100, seed=1))
         assert est.k == 2 and est.d == 2
         assert np.allclose(np.linalg.norm(est.weights, axis=1), 1.0, atol=1e-9)
 
@@ -105,13 +111,12 @@ class TestFitErm:
         rng = np.random.default_rng(2)
         truth = ReluNetwork(unit_rows(rng, 2, 2))
         data = noiseless_data(rng, truth, 100)
-        est = fit_erm(data, 2, FitConfig(seed=2))
-        assert empirical_sq_loss(est, data) <= empirical_sq_loss(truth, data) + 1e-6
+        est = fit_erm(*data, 2, FitConfig(seed=2))
+        assert empirical_sq_loss(est, *data) <= empirical_sq_loss(truth, *data) + 1e-6
 
     def test_all_restarts_failing(self):
-        data = [Sample(x=np.array([1.0, 0.0]), y=float("inf"))]
         with pytest.raises(FitError):
-            fit_erm(data, 1, FitConfig(restarts=2, max_iters=10, seed=3))
+            fit_erm([[1.0, 0.0]], [float("inf")], 1, FitConfig(restarts=2, max_iters=10, seed=3))
 
     def test_loss_lipschitz_in_parameters(self):
         # |L(net) - L(net2)| <= 4k * sum_i ||w_i - w2_i|| on noiseless data
@@ -122,7 +127,7 @@ class TestFitErm:
             data = noiseless_data(rng, truth, 30)
             a = ReluNetwork(unit_rows(rng, k, d))
             b = ReluNetwork(unit_rows(rng, k, d))
-            lhs = abs(empirical_sq_loss(a, data) - empirical_sq_loss(b, data))
+            lhs = abs(empirical_sq_loss(a, *data) - empirical_sq_loss(b, *data))
             rhs = 4.0 * k * np.linalg.norm(a.weights - b.weights, axis=1).sum()
             assert lhs <= rhs + 1e-9
 
@@ -132,10 +137,9 @@ class TestFitErmMatchesPerRestartLoop:
 
     @staticmethod
     def both(X, y, k, restarts, max_iters, step_size, tol, seed):
-        data = [Sample(x=X[i], y=float(y[i])) for i in range(len(y))]
         cfg = FitConfig(restarts=restarts, max_iters=max_iters, step_size=step_size, tol=tol, seed=seed)
         try:
-            got = fit_erm(data, k, cfg).weights
+            got = fit_erm(X, y, k, cfg).weights
         except FitError:
             got = None
         try:
@@ -195,8 +199,7 @@ class TestFitErmMatchesPerRestartLoop:
             return real(rng, k, d)
 
         monkeypatch.setattr(estimation, "_unit_rows", first_rows_at_e1)
-        data = [Sample(x=np.array([1.0, 0.0]), y=0.0)]
-        est = fit_erm(data, 2, FitConfig(restarts=3, max_iters=20, step_size=0.25, seed=0))
+        est = fit_erm([[1.0, 0.0]], [0.0], 2, FitConfig(restarts=3, max_iters=20, step_size=0.25, seed=0))
         assert len(draws) > 3  # the collapse branch redrew rows
         assert np.isfinite(est.weights).all()
         np.testing.assert_allclose(np.linalg.norm(est.weights, axis=1), 1.0, atol=1e-12)

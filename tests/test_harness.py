@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from relu_bandits import (
-    ArmSet,
     GenerationError,
     Instance,
     ProtocolError,
@@ -27,7 +26,6 @@ def make_trace(finals, tag="x"):
                 algorithm=tag,
                 seed=i,
                 t=np.array([1]),
-                set_ids=np.array([1]),
                 chosen=np.array([0]),
                 rewards=np.array([0.0]),
                 inst_regret=np.array([float(r)]),
@@ -81,17 +79,13 @@ class TestGenInstance:
 class TestSampleArms:
     def test_unit_norms(self):
         arms = sample_arms(1000, 2, np.random.default_rng(5))
-        assert len(arms) == 1000 and arms.d == 2
-        assert np.allclose(np.linalg.norm(arms.arms, axis=1), 1.0, atol=1e-9)
+        assert arms.shape == (1000, 2)
+        assert np.allclose(np.linalg.norm(arms, axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):
         a = sample_arms(10, 3, np.random.default_rng(6))
         b = sample_arms(10, 3, np.random.default_rng(6))
-        np.testing.assert_array_equal(a.arms, b.arms)
-
-    def test_round_index_kept(self):
-        arms = sample_arms(3, 2, np.random.default_rng(7), round_index=42)
-        assert arms.round_index == 42
+        np.testing.assert_array_equal(a, b)
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
@@ -102,7 +96,7 @@ class TestRunTrial:
     def _coin_flip_setup(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
-        arms = ArmSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
         return inst, arms
 
     def test_random_agent_mean_regret_half(self):
@@ -139,8 +133,8 @@ class TestRunTrial:
         inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
         arms = sample_arms(20, 2, np.random.default_rng(13))
         tr = run_trial(inst, RandomConfig(), 60, 20, np.random.default_rng(14), fixed_arms=arms)
-        best = eval_f_batch(truth, arms.arms).max()
-        fvals = eval_f_batch(truth, arms.arms)[tr.chosen]
+        best = eval_f_batch(truth, arms).max()
+        fvals = eval_f_batch(truth, arms)[tr.chosen]
         np.testing.assert_allclose(fvals + tr.inst_regret, best, atol=1e-12)
 
     def test_random_baseline_linear_growth(self):
@@ -162,6 +156,21 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(inst, RandomConfig(), 0, 2, np.random.default_rng(18), fixed_arms=arms)
 
+    @pytest.mark.parametrize(
+        "arms,match",
+        [
+            ([[1.0, 0.0], [0.6, 0.7]], "unit norm"),
+            ([[1.0, 0.0], [np.nan, 1.0]], "non-finite"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "dimension"),
+            ([1.0, 0.0], "2-D"),
+        ],
+        ids=["non-unit-row", "nan", "wrong-d", "1-D"],
+    )
+    def test_bad_fixed_arms_rejected(self, arms, match):
+        inst, _ = self._coin_flip_setup()
+        with pytest.raises(ValueError, match=match):
+            run_trial(inst, RandomConfig(), 5, 2, np.random.default_rng(21), fixed_arms=np.array(arms))
+
     def test_agent_protocol_violation_propagates(self):
         inst, arms = self._coin_flip_setup()
         broken = RandomAgent()
@@ -177,7 +186,6 @@ class TestTrialTrace:
                 algorithm="x",
                 seed=0,
                 t=np.array([1, 2]),
-                set_ids=np.array([1]),
                 chosen=np.array([0]),
                 rewards=np.array([0.0]),
                 inst_regret=np.array([0.0]),
@@ -203,7 +211,6 @@ class TestAggregate:
             algorithm="x",
             seed=0,
             t=np.array([1, 2]),
-            set_ids=np.array([1, 2]),
             chosen=np.array([0, 0]),
             rewards=np.array([0.0, 0.0]),
             inst_regret=np.array([1.0, 1.0]),
@@ -213,7 +220,6 @@ class TestAggregate:
             algorithm="x",
             seed=1,
             t=np.array([1, 2]),
-            set_ids=np.array([1, 2]),
             chosen=np.array([0, 0]),
             rewards=np.array([0.0, 0.0]),
             inst_regret=np.array([3.0, 1.0]),
@@ -237,7 +243,6 @@ class TestAggregate:
             algorithm="x",
             seed=5,
             t=np.array([1, 2]),
-            set_ids=np.array([1, 2]),
             chosen=np.array([0, 0]),
             rewards=np.array([0.0, 0.0]),
             inst_regret=np.array([0.0, 0.0]),

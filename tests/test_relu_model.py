@@ -7,7 +7,6 @@ from relu_bandits import (
     DimensionMismatchError,
     ReluNetwork,
     UnsupportedDimensionError,
-    eval_f,
     eval_f_batch,
     exact_argmax_2d,
     gap_of,
@@ -61,18 +60,18 @@ class TestReluNetwork:
 
 class TestEvalF:
     def test_single_active(self):
-        assert eval_f(ReluNetwork(np.array([[1.0, 0.0]])), np.array([1.0, 0.0])) == 1.0
+        assert eval_f_batch(ReluNetwork(np.array([[1.0, 0.0]])), np.array([[1.0, 0.0]]))[0] == 1.0
 
     def test_inactive(self):
-        assert eval_f(ReluNetwork(np.array([[1.0, 0.0]])), np.array([-1.0, 0.0])) == 0.0
+        assert eval_f_batch(ReluNetwork(np.array([[1.0, 0.0]])), np.array([[-1.0, 0.0]]))[0] == 0.0
 
     def test_two_active(self):
         net = ReluNetwork(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert eval_f(net, np.array([RT2 / 2, RT2 / 2])) == pytest.approx(RT2, abs=1e-12)
+        assert eval_f_batch(net, np.array([[RT2 / 2, RT2 / 2]]))[0] == pytest.approx(RT2, abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            eval_f(ReluNetwork(np.array([[1.0, 0.0]])), np.array([1.0, 0.0, 0.0]))
+            eval_f_batch(ReluNetwork(np.array([[1.0, 0.0]])), np.array([[1.0, 0.0, 0.0]]))
 
     def test_batch_matches_scalar_and_reference(self):
         rng = np.random.default_rng(0)
@@ -81,7 +80,7 @@ class TestEvalF:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         vals = eval_f_batch(net, X)
         for i in range(40):
-            assert vals[i] == pytest.approx(eval_f(net, X[i]), abs=1e-12)
+            assert vals[i] == pytest.approx(eval_f_batch(net, X[i : i + 1])[0], abs=1e-12)
             assert vals[i] == pytest.approx(eval_f_reference(net.weights, X[i]), abs=1e-12)
 
     def test_bounded_by_k(self):
@@ -160,7 +159,7 @@ class TestSignCorrectedParameter:
         theta = sign_corrected_parameter(truth, est, 0.5)
         x = np.array([0.6, 0.8])
         assert lift(x, est) @ theta == pytest.approx(0.6, abs=1e-12)
-        assert eval_f(truth, x) == pytest.approx(0.6, abs=1e-12)
+        assert eval_f_reference(truth.weights, x) == pytest.approx(0.6, abs=1e-12)
 
     def test_nonpositive_nu_rejected(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))

@@ -21,7 +21,6 @@ def trace(tag="alg", seed=0, vals=(0.25, 1.5)):
         algorithm=tag,
         seed=seed,
         t=np.arange(1, n + 1),
-        set_ids=np.arange(1, n + 1),
         chosen=np.zeros(n, dtype=np.int64),
         rewards=inst * 0.125 + 1.0 / 3.0,
         inst_regret=inst,
