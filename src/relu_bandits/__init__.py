@@ -13,7 +13,6 @@ from .agents import (
     OfulConfig,
     OfuReluAgent,
     OfuReluConfig,
-    OfuReluPlusAgent,
     OfuReluPlusConfig,
     RandomAgent,
     RandomConfig,
@@ -80,7 +79,6 @@ __all__ = [
     "OfulConfig",
     "OfuReluAgent",
     "OfuReluConfig",
-    "OfuReluPlusAgent",
     "OfuReluPlusConfig",
     "ProtocolError",
     "RandomAgent",

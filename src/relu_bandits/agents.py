@@ -7,15 +7,18 @@ trial; distinct trials never share state.
 
 Policies:
 
-* ``OfuReluAgent``: explore uniformly for t0 rounds, fit the ReLU model by
-  ERM on the exploration samples, then run the linear UCB engine on the
-  sign-robust lifted features of the margin-restricted arm set.
-* ``OfuReluPlusAgent``: the batched variant that needs no gap knowledge: a
-  geometric batch grid shrinks the assumed gap batch by batch, exploration
-  samples accumulate across batches, and at each refit the ridge state is
-  rebuilt by re-featurizing the entire observation history under the fresh
-  estimate (features of past actions change with the estimate, so the state
-  cannot be patched incrementally across a refit).
+* ``OfuReluAgent``: the paper's two ReLU algorithms as one policy: explore
+  uniformly, fit the ReLU model by ERM on the explored rows, then run the
+  linear UCB engine on the sign-robust lifted features of the
+  margin-restricted arm set.  A schedule resolved once from the config
+  drives it: OFU-ReLU (``OfuReluConfig``) is one batch [0, T] that explores
+  t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no gap
+  knowledge: a geometric batch grid shrinks the assumed gap batch by batch,
+  explored rows accumulate across batches, and each refit rebuilds the
+  ridge by replaying the history under the fresh estimate.  The one policy
+  difference is data: OFU-ReLU's ridge replays from round t0 + 1, because
+  its exploration rows feed the fit only, while OFU-ReLU+'s replays every
+  round.
 * ``OfulAgent``: plain linear UCB on the raw d-dimensional arms, the
   deliberately misspecified baseline.
 * ``RandomAgent``: uniform choice, the sanity floor.
@@ -219,22 +222,57 @@ class OfulAgent(_SequentialAgent):
         self._ridge = ridge_update(self._ridge, action, reward)
 
 
-class _LiftedUcbAgent(_SequentialAgent):
-    """What both ReLU agents share: the estimate, the 2kd ridge state, the UCB round.
+def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, T: int) -> tuple[BatchGrid, int]:
+    """The batch grid a ReLU config runs, and the first history row its ridge replays.
 
-    When margin filtering empties the offered set, the full set is used and
-    the round is counted in ``fallback_rounds``.
+    OFU-ReLU is one batch [0, T] at gap nu whose window explores t0 rounds
+    (clamped to T).  Its t0 exploration rows feed the fit only, so its ridge
+    starts at round t0 + 1; OFU-ReLU+ replays every round.
+    """
+    if isinstance(cfg, OfuReluConfig):
+        t0 = min(cfg.t0, T)
+        return BatchGrid(M=1, boundaries=(0, T), nus=(cfg.nu,), explore_sizes=(t0,)), t0
+    return build_batch_grid(cfg, T), 0
+
+
+class OfuReluAgent(_SequentialAgent):
+    """Explore, fit the ReLU neurons, then UCB over sign-robust features, batch by batch.
+
+    One agent runs both ReLU configs through the schedule ``_resolve_schedule``
+    returns; OFU-ReLU is the one-batch case of OFU-ReLU+.  The agent keeps one
+    history of its T rounds: chosen rows, rewards and an explored flag.
+    Within batch i the first explore_sizes[i] rounds (clamped to the batch)
+    sample uniformly; the last of them refits the model on every explored
+    round so far and rebuilds the 2kd ridge state by replaying the history
+    from the replay start under the new estimate (features of past actions
+    change with the estimate, so the state cannot be patched across a refit).
+    Between refits every later round also enters the ridge incrementally, so
+    the state always equals that replay under the current estimate.
+
+    Until the first refit the agent keeps exploring, counted in
+    ``forced_exploration_rounds``.  A UCB round keeps the arms with margin
+    nu_i/2 under the estimate; when that empties the offered set, the full
+    set is used and the round is counted in ``fallback_rounds``.
     """
 
-    def __init__(self, k: int, d: int, cfg: OfuReluConfig | OfuReluPlusConfig):
+    def __init__(self, k: int, d: int, T: int, cfg: OfuReluConfig | OfuReluPlusConfig):
         super().__init__()
         self.label = cfg.label
         self._k, self._d = k, d
         self._cfg = cfg
+        self.grid, self._replay_start = _resolve_schedule(cfg, T)
+        self._explore_end = [  # the round at which each batch stops exploring
+            start + min(size, self.grid.batch_length(i))
+            for i, (start, size) in enumerate(zip(self.grid.boundaries, self.grid.explore_sizes))
+        ]
         self._estimate: ReluNetwork | None = None
         self._ridge = init_state(2 * k * d, cfg.ucb.lam)
         self._pending_features: np.ndarray | None = None
+        self._actions = np.empty((T, d))
+        self._rewards = np.empty(T)
+        self._explored = np.zeros(T, dtype=bool)
         self.fallback_rounds = 0
+        self.forced_exploration_rounds = 0
 
     @property
     def estimate(self) -> ReluNetwork | None:
@@ -243,77 +281,6 @@ class _LiftedUcbAgent(_SequentialAgent):
     @property
     def ridge(self) -> LinearUcbState:
         return self._ridge
-
-    def _ucb_round(self, arms: np.ndarray, est: ReluNetwork, nu: float) -> int:
-        """Pick among the arms with margin nu/2 under est; keep the pick's features."""
-        mask = margin_mask(arms, est, nu / 2.0)
-        if not mask.any():
-            self.fallback_rounds += 1
-            mask = np.ones(len(arms), dtype=bool)
-        kept = np.flatnonzero(mask)
-        feats = sign_robust_features_batch(arms[kept], est)
-        j = ucb_select(self._ridge, self._cfg.ucb, feats)
-        self._pending_features = feats[j]
-        return int(kept[j])
-
-
-class OfuReluAgent(_LiftedUcbAgent):
-    """Explore, fit once, then UCB over sign-robust features.
-
-    The ridge state lives in the 2kd lifted space and absorbs only the
-    post-exploration observations; the t0 exploration rows and rewards feed
-    the fit.
-    """
-
-    def __init__(self, k: int, d: int, cfg: OfuReluConfig, estimate: ReluNetwork | None = None):
-        super().__init__(k, d, cfg)
-        self._X = np.empty((cfg.t0, d))
-        self._y = np.empty(cfg.t0)
-        self._estimate = estimate
-        self._fit_done = estimate is not None
-
-    def _select(self, arms, rng, t):
-        if t <= self._cfg.t0:
-            return int(rng.integers(len(arms)))
-        return self._ucb_round(arms, self._estimate, self._cfg.nu)
-
-    def _observe(self, t, action, reward):
-        if t <= self._cfg.t0:
-            self._X[t - 1], self._y[t - 1] = action, reward
-            if t == self._cfg.t0 and not self._fit_done:
-                self._estimate = fit_erm(self._X, self._y, self._k, self._cfg.fit)
-                self._fit_done = True
-        else:
-            self._ridge = ridge_update(self._ridge, self._pending_features, reward)
-            self._pending_features = None
-
-
-class OfuReluPlusAgent(_LiftedUcbAgent):
-    """Batched agent: refit per batch, never discarding data.
-
-    The agent keeps one history of its T rounds: chosen rows, rewards and an
-    explored flag.  Within batch i the first explore_sizes[i] rounds (clamped
-    to the batch) sample uniformly; the refit at the end of that stretch
-    re-estimates the model on every explored round so far and rebuilds the
-    ridge state by replaying the entire history under the new estimate.
-    Between refits every observation (exploratory or not) also enters the
-    ridge incrementally, so the state always equals a from-scratch replay
-    under the current estimate.
-    """
-
-    def __init__(self, k: int, d: int, T: int, cfg: OfuReluPlusConfig):
-        super().__init__(k, d, cfg)
-        self.grid = build_batch_grid(cfg, T)
-        self._actions = np.empty((T, d))
-        self._rewards = np.empty(T)
-        self._explored = np.zeros(T, dtype=bool)
-        self.forced_exploration_rounds = 0
-        # explore window of each batch, resolved with runtime clamping
-        self._explore_end = []
-        for i in range(self.grid.M):
-            start = self.grid.boundaries[i]
-            length = min(self.grid.explore_sizes[i], self.grid.batch_length(i))
-            self._explore_end.append(start + length)
 
     @property
     def pool_size(self) -> int:
@@ -330,25 +297,26 @@ class OfuReluPlusAgent(_LiftedUcbAgent):
                 return i
         return self.grid.M - 1
 
-    def _exploring(self, t: int) -> bool:
-        i = self._batch_of(t)
-        if t <= self._explore_end[i]:
-            return True
-        if self._estimate is None:
-            # no refit has ever run (all exploration windows so far were
-            # empty); keep exploring rather than select without a model
-            return True
-        return False
-
     def _select(self, arms, rng, t):
-        if self._exploring(t):
-            if t > self._explore_end[self._batch_of(t)]:
+        i = self._batch_of(t)
+        if t <= self._explore_end[i] or self._estimate is None:
+            if t > self._explore_end[i]:
+                # no refit has run yet: keep exploring rather than select without a model
                 self.forced_exploration_rounds += 1
             return int(rng.integers(len(arms)))
-        return self._ucb_round(arms, self._estimate, self.grid.nus[self._batch_of(t)])
+        mask = margin_mask(arms, self._estimate, self.grid.nus[i] / 2.0)
+        if not mask.any():
+            self.fallback_rounds += 1
+            mask = np.ones(len(arms), dtype=bool)
+        kept = np.flatnonzero(mask)
+        feats = sign_robust_features_batch(arms[kept], self._estimate)
+        j = ucb_select(self._ridge, self._cfg.ucb, feats)
+        self._pending_features = feats[j]
+        return int(kept[j])
 
     def _observe(self, t, action, reward):
-        self._actions[t - 1], self._rewards[t - 1] = action, reward
+        self._actions[t - 1] = action
+        self._rewards[t - 1] = reward
         if self._pending_features is not None:
             # a UCB round: absorb under the current estimate
             self._ridge = ridge_update(self._ridge, self._pending_features, reward)
@@ -360,20 +328,16 @@ class OfuReluPlusAgent(_LiftedUcbAgent):
             feats = sign_robust_features_batch(action[None, :], self._estimate)[0]
             self._ridge = ridge_update(self._ridge, feats, reward)
         i = self._batch_of(t)
-        if t == self._explore_end[i] and self.grid.boundaries[i] < self._explore_end[i]:
+        if t == self._explore_end[i] and self.grid.boundaries[i] < t:
             self._refit()
 
     def _refit(self):
         X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
         self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
-        self._ridge = self._rebuild_ridge(self._estimate)
-
-    def _rebuild_ridge(self, est: ReluNetwork) -> LinearUcbState:
-        state = init_state(2 * self._k * self._d, self._cfg.ucb.lam)
-        feats = sign_robust_features_batch(self._actions[: self._t], est)
-        for row, y in zip(feats, self._rewards[: self._t]):
-            state = ridge_update(state, row, y)
-        return state
+        self._ridge = init_state(2 * self._k * self._d, self._cfg.ucb.lam)
+        start = self._replay_start
+        for row, reward in zip(sign_robust_features_batch(X[start:], self._estimate), y[start:]):
+            self._ridge = ridge_update(self._ridge, row, reward)
 
 
 AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig
@@ -381,10 +345,8 @@ AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig
 
 def make_agent(cfg: AgentConfig, k: int, d: int, T: int) -> _SequentialAgent:
     """Instantiate the agent a config block describes, for a (k, d, T) run."""
-    if isinstance(cfg, OfuReluConfig):
-        return OfuReluAgent(k, d, cfg)
-    if isinstance(cfg, OfuReluPlusConfig):
-        return OfuReluPlusAgent(k, d, T, cfg)
+    if isinstance(cfg, (OfuReluConfig, OfuReluPlusConfig)):
+        return OfuReluAgent(k, d, T, cfg)
     if isinstance(cfg, OfulConfig):
         return OfulAgent(d, cfg)
     if isinstance(cfg, RandomConfig):

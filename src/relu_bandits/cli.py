@@ -188,7 +188,10 @@ def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int, sig
         nu0=p["nu0"], T1=p["T1"], a=p["a"], b=p["b"], schedule=sched, ucb=ucb, fit=fit,
         practical_override=p["practical_override"], label=p["label"],
     )
-    build_batch_grid(cfg, T)  # a bad grid fails here, before any output is written
+    grid = build_batch_grid(cfg, T)  # a bad grid fails here, before any output is written
+    if not any(min(n, grid.batch_length(i)) for i, n in enumerate(grid.explore_sizes)):
+        print(f"warning: every exploration window of {p['label']}'s batch grid is empty: "
+              f"it never fits and explores at random for all {T} rounds", file=sys.stderr)
     return cfg
 
 
@@ -217,6 +220,8 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
             algos.append(_build_algorithm(echoes[-1], fit, k, d, T, sigma))
         except ValueError as exc:  # invariant and grid errors carry no location
             raise ConfigError(f"{where}: {exc}") from exc
+        except ArithmeticError as exc:  # a finite value whose grid arithmetic over- or underflows
+            raise ConfigError(f"{where}: a value is out of floating-point range for the batch grid ({exc})") from exc
     labels = [a.label for a in algos]
     if len(set(labels)) != len(labels):
         raise ConfigError("algorithm labels must be unique (set 'label' to disambiguate)")
@@ -335,7 +340,10 @@ def cmd_check_bounds(args) -> int:
     p = BoundParams(k=args.k, d=args.d, sigma=args.sigma, delta=args.delta, T=float(args.T), C1=args.C1, C2=args.C2)
     zeta = zeta_bound(args.n, p)
     alpha = alpha_bound(zeta, p)
-    t0 = t0_schedule(args.nu, p)
+    try:
+        t0 = t0_schedule(args.nu, p)
+    except ArithmeticError as exc:  # nu**8 over- or underflows
+        raise ConfigError(f"--nu={args.nu:g} is out of floating-point range for the t0 schedule ({exc})") from exc
     print(f"zeta {zeta:.12g}")
     print(f"alpha {alpha:.12g}")
     print(f"t0 {t0:.12g}")

@@ -37,10 +37,11 @@ class UcbConfig:
             raise ValueError("sigma must be nonnegative")
         if self.S <= 0.0:
             raise ValueError("S must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.lam <= 0.0:
-            raise ValueError("lambda must be positive")
+        # the radius takes log(1/delta) and the inverse Gram starts at I/lambda
+        if not 0.0 < self.delta < 1.0 or math.isinf(1.0 / self.delta):
+            raise ValueError("delta must lie in (0, 1) and have a finite reciprocal")
+        if self.lam <= 0.0 or math.isinf(1.0 / self.lam):
+            raise ValueError("lambda must be positive and have a finite reciprocal")
 
 
 @dataclass(frozen=True, eq=False)

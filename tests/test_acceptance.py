@@ -22,7 +22,7 @@ from relu_bandits import (
     BoundParams,
     FitConfig,
     Instance,
-    OfuReluPlusAgent,
+    OfuReluAgent,
     OfuReluPlusConfig,
     ReluNetwork,
     UcbConfig,
@@ -331,7 +331,7 @@ class TestCriterion9PlusStructure:
         T = 200
         rng = np.random.default_rng(55)
         inst = gen_instance(1, 2, 0.0, 0.1, rng)
-        agent = OfuReluPlusAgent(1, 2, T, self._cfg((6, 3, 3, 3, 3), ucb))
+        agent = OfuReluAgent(1, 2, T, self._cfg((6, 3, 3, 3, 3), ucb))
         arms_rng, noise_rng, agent_rng = np.random.default_rng(56).spawn(3)
         max_dev = 0.0
         for t in range(1, T + 1):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from relu_bandits import agents
 from relu_bandits import (
     ConfigError,
     FitConfig,
     Instance,
     OfuReluAgent,
     OfuReluConfig,
-    OfuReluPlusAgent,
     OfuReluPlusConfig,
     OfulAgent,
     OfulConfig,
@@ -186,7 +186,7 @@ class TestOfuReluAgent:
     def test_fit_happens_at_t0(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.05, alpha0=0.0)
-        agent = OfuReluAgent(1, 2, OfuReluConfig(t0=6, ucb=UCB, fit=FIT))
+        agent = OfuReluAgent(1, 2, 20, OfuReluConfig(t0=6, ucb=UCB, fit=FIT))
         arms = sample_arms(10, 2, np.random.default_rng(5))
         rng = np.random.default_rng(6)
         for t in range(1, 7):
@@ -195,19 +195,23 @@ class TestOfuReluAgent:
             agent.observe(float(eval_f_batch(truth, arms)[idx]))
         assert agent.estimate is not None
 
-    def test_degenerate_t0_equals_T(self):
-        # never leaves the exploration phase: picks match a plain random agent
+    @pytest.mark.parametrize("t0", [12, 17])
+    def test_degenerate_t0_equals_T(self, t0):
+        # never leaves the exploration phase: picks match a plain random agent;
+        # the window is clamped to T = 12, so the fit still runs at round T
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
-        cfg = OfuReluConfig(t0=12, ucb=UCB, fit=FIT)
-        a = run_trial(inst, cfg, 12, 6, np.random.default_rng(7))
+        agent = OfuReluAgent(1, 2, 12, OfuReluConfig(t0=t0, ucb=UCB, fit=FIT))
+        a = run_trial(inst, None, 12, 6, np.random.default_rng(7), agent=agent)
         b = run_trial(inst, RandomConfig(), 12, 6, np.random.default_rng(7))
         np.testing.assert_array_equal(a.chosen, b.chosen)
+        assert agent.estimate is not None and agent.ridge.count == 0
+        assert agent.forced_exploration_rounds == 0
 
     def test_ridge_counts_only_post_t0(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
-        agent = OfuReluAgent(1, 2, OfuReluConfig(t0=5, ucb=UCB, fit=FIT))
+        agent = OfuReluAgent(1, 2, 20, OfuReluConfig(t0=5, ucb=UCB, fit=FIT))
         run_trial(inst, None, 20, 8, np.random.default_rng(8), agent=agent)
         assert agent.ridge.count == 15
 
@@ -216,20 +220,21 @@ class TestOfuReluAgent:
         # falls back to the full set
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
-        agent = OfuReluAgent(1, 2, OfuReluConfig(t0=4, ucb=UCB, fit=FIT, nu=2.0))
+        agent = OfuReluAgent(1, 2, 14, OfuReluConfig(t0=4, ucb=UCB, fit=FIT, nu=2.0))
         tr = run_trial(inst, None, 14, 8, np.random.default_rng(9), agent=agent)
         assert agent.fallback_rounds == 10
         assert len(tr) == 14
 
-    def test_optimism_inequality_with_exact_estimate(self):
+    def test_optimism_inequality_with_exact_estimate(self, monkeypatch):
         # with estimate = truth the lifted reward is exactly linear, so the
         # restricted-set best is within 2 * beta * |x|_{V^-1} of the pick
         rng = np.random.default_rng(10)
         truth = ReluNetwork(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg: truth)
         inst = Instance(truth=truth, sigma=0.05, alpha0=0.0)
         ucb = UcbConfig(sigma=0.05, S=math.sqrt(10.0), delta=0.02, lam=1.0)
         cfg = OfuReluConfig(t0=1, ucb=ucb, fit=FIT, nu=0.0)
-        agent = OfuReluAgent(2, 2, cfg, estimate=truth)
+        agent = OfuReluAgent(2, 2, 60, cfg)
         arms_rng, noise_rng, agent_rng = rng.spawn(3)
         for t in range(1, 61):
             arms = sample_arms(30, 2, arms_rng)
@@ -290,14 +295,14 @@ class TestBuildBatchGrid:
 
 
 class TestOfuReluPlusAgent:
-    def _run(self, override, T, seed=0, k=1, d=2, sigma=0.05):
+    def _run(self, override, T, seed=0, k=1, d=2, sigma=0.05, cfg=None):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((k, d))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         truth = ReluNetwork(w)
         inst = Instance(truth=truth, sigma=sigma, alpha0=0.0)
-        cfg = plus_config(override, k=k, d=d)
-        agent = OfuReluPlusAgent(k, d, T, cfg)
+        cfg = cfg or plus_config(override, k=k, d=d)
+        agent = OfuReluAgent(k, d, T, cfg)
         tr = run_trial(inst, None, T, 10, np.random.default_rng(seed + 1), agent=agent)
         return agent, tr
 
@@ -307,14 +312,22 @@ class TestOfuReluPlusAgent:
         assert agent.pool_size == 6 + 3 + 2
         assert agent.forced_exploration_rounds == 0
 
-    def test_state_equals_full_replay(self):
+    @pytest.mark.parametrize(
+        "cfg,start",
+        [(OfuReluConfig(t0=6, ucb=UCB, fit=FIT), 6), (plus_config((6, 3, 2)), 0)],
+        ids=["ofu_relu", "ofu_relu_plus"],
+    )
+    def test_state_equals_full_replay(self, cfg, start):
         # the data-retention contract: at the end the incremental ridge equals
-        # a from-scratch replay of the whole history under the final estimate
-        agent, _ = self._run((6, 3, 2), 60)
+        # a from-scratch replay of the history from the replay start (after
+        # OFU-ReLU's t0 exploration rows, every row for OFU-ReLU+) under the
+        # final estimate
+        agent, _ = self._run(None, 60, cfg=cfg)
         assert agent.estimate is not None
         state = init_state(2 * 1 * 2, UCB.lam)
         X, y = agent.history()
-        for x, reward in zip(X, y):
+        assert agent.ridge.count == 60 - start
+        for x, reward in zip(X[start:], y[start:]):
             feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
             state = ridge_update(state, feat, reward)
         np.testing.assert_allclose(agent.ridge.gram, state.gram, atol=1e-8)
@@ -352,7 +365,7 @@ class TestMakeAgent:
         assert isinstance(make_agent(OfulConfig(ucb=UCB), 1, 2, 10), OfulAgent)
         assert isinstance(make_agent(OfuReluConfig(t0=5, ucb=UCB, fit=FIT), 1, 2, 10), OfuReluAgent)
         cfg = plus_config((5, 5, 5))
-        assert isinstance(make_agent(cfg, 1, 2, 70), OfuReluPlusAgent)
+        assert isinstance(make_agent(cfg, 1, 2, 70), OfuReluAgent)
 
     def test_labels_flow_through(self):
         agent = make_agent(RandomConfig(label="noise-floor"), 1, 2, 10)

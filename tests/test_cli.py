@@ -21,6 +21,7 @@ from relu_bandits import (
 from relu_bandits.cli import main, parse_experiment_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GRID_RANGE = "algorithms[0]: a value is out of floating-point range"
 
 TINY = {
     "k": 1,
@@ -225,6 +226,13 @@ class TestCheckBounds:
     def test_missing_required_flag(self, capsys):
         assert main(["check-bounds", "--k", "1"]) == 2
 
+    @pytest.mark.parametrize("nu", ["1e-300", "1e300"])  # nu**8 underflows to 0 / overflows
+    def test_nu_out_of_float_range_exit2(self, nu, capsys):
+        code = main(["check-bounds", "--k", "1", "--d", "2", "--nu", nu])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--nu" in captured.err and captured.out == ""
+
 
 class TestSimulate:
     def test_exit_and_outputs(self, tiny_run):
@@ -313,8 +321,16 @@ class TestSimulate:
             ({"name": "ofu_relu_plus", "fit": {"restarts": 0}}, "algorithms[0].fit: restarts"),
             ({"name": "ofu_relu_plus", "T1": 50}, "T1"),
             ({"name": "ofu_relu_plus", "T1": 8, "practical_override": [4]}, "practical_override"),
+            ({"name": "ofu_relu_plus", "T1": 8, "nu0": 1e-300}, GRID_RANGE),  # nu0**8 underflows to 0
+            ({"name": "ofu_relu_plus", "T1": 8, "b": 1e300}, GRID_RANGE),  # b**2 overflows
+            ({"name": "ofu_relu_plus", "T1": 8, "C1": 1e308}, GRID_RANGE),  # t0(nu) is inf
+            ({"name": "oful", "lambda": 1e-320}, "algorithms[0]: lambda"),  # 1/lambda is inf
+            ({"name": "ofu_relu", "delta": 1e-320}, "algorithms[0]: delta"),  # 1/delta is inf
         ],
-        ids=["fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short"],
+        ids=[
+            "fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short",
+            "nu0-underflow", "b-overflow", "C1-overflow", "lambda-reciprocal", "delta-reciprocal",
+        ],
     )
     def test_bad_block_exit2_before_output(self, tmp_path, capsys, block, field):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, algorithms=[block]))
@@ -323,6 +339,16 @@ class TestSimulate:
         assert field in err
         assert err.count("algorithms[0]") == 1  # the location is named once
         assert not (tmp_path / "o").exists()
+
+    def test_plus_grid_that_never_fits_warns(self, capsys):
+        # the OFU-ReLU+ defaults on the fig2a shape give explore_sizes (0,) * 7
+        raw = json.loads((CONFIGS / "fig2a.json").read_text())
+        parse_experiment_config(dict(raw, algorithms=[{"name": "ofu_relu_plus"}]))
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "never fits" in err
+        plus_refit = CONFIGS.parent / "perfbench" / "workloads" / "plus_refit.json"
+        parse_experiment_config(json.loads(plus_refit.read_text()))
+        assert capsys.readouterr().err == ""
 
     def test_single_trial_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, trials=1))
