@@ -34,7 +34,6 @@ from .estimation import (
     FitConfig,
     MatchResult,
     alpha_bound,
-    empirical_sq_loss,
     fit_erm,
     h_bound,
     match_neurons,
@@ -55,7 +54,6 @@ from .relu_model import (
     ReluNetwork,
     eval_f_batch,
     exact_argmax_2d,
-    gap_of,
     margin_mask,
     sign_robust_features_batch,
 )
@@ -92,12 +90,10 @@ __all__ = [
     "build_batch_grid",
     "conf_radius",
     "emit_svg",
-    "empirical_sq_loss",
     "eval_f_batch",
     "exact_argmax_2d",
     "export_csv",
     "fit_erm",
-    "gap_of",
     "gen_instance",
     "h_bound",
     "init_state",

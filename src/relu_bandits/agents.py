@@ -305,14 +305,15 @@ class OfuReluAgent(_SequentialAgent):
                 self.forced_exploration_rounds += 1
             return int(rng.integers(len(arms)))
         mask = margin_mask(arms, self._estimate, self.grid.nus[i] / 2.0)
+        kept = None  # None: every arm, without copying them
         if not mask.any():
             self.fallback_rounds += 1
-            mask = np.ones(len(arms), dtype=bool)
-        kept = np.flatnonzero(mask)
-        feats = sign_robust_features_batch(arms[kept], self._estimate)
+        elif not mask.all():
+            kept = np.flatnonzero(mask)
+        feats = sign_robust_features_batch(arms if kept is None else arms[kept], self._estimate)
         j = ucb_select(self._ridge, self._cfg.ucb, feats)
         self._pending_features = feats[j]
-        return int(kept[j])
+        return j if kept is None else int(kept[j])
 
     def _observe(self, t, action, reward):
         self._actions[t - 1] = action

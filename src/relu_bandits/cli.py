@@ -338,15 +338,21 @@ def cmd_check_bounds(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be at least 1")
     p = BoundParams(k=args.k, d=args.d, sigma=args.sigma, delta=args.delta, T=float(args.T), C1=args.C1, C2=args.C2)
-    zeta = zeta_bound(args.n, p)
-    alpha = alpha_bound(zeta, p)
-    try:
-        t0 = t0_schedule(args.nu, p)
-    except ArithmeticError as exc:  # nu**8 over- or underflows
-        raise ConfigError(f"--nu={args.nu:g} is out of floating-point range for the t0 schedule ({exc})") from exc
-    print(f"zeta {zeta:.12g}")
-    print(f"alpha {alpha:.12g}")
-    print(f"t0 {t0:.12g}")
+    bounds = {}
+    for name, flags, bound in (
+        ("zeta", "k d sigma delta n", lambda: zeta_bound(args.n, p)),
+        ("alpha", "k d sigma delta n", lambda: alpha_bound(bounds["zeta"], p)),
+        ("t0", "nu C1 C2 k d sigma T", lambda: t0_schedule(args.nu, p)),
+    ):
+        try:  # a finite input can still over- or underflow the formula
+            bounds[name] = bound()
+        except ArithmeticError:
+            bounds[name] = math.inf
+        if not math.isfinite(bounds[name]):
+            given = ", ".join(f"--{f}={getattr(args, f):g}" for f in flags.split())
+            raise ConfigError(f"{name} is out of floating-point range at {given}")
+    for name, value in bounds.items():
+        print(f"{name} {value:.12g}")
     if args.d >= 3:
         for eps in (0.001, 0.002, 0.003):
             try:

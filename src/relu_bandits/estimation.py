@@ -89,17 +89,6 @@ def _as_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def empirical_sq_loss(net: ReluNetwork, X, y) -> float:
-    """(1/n) * sum_i (f(x_i) - y_i)^2 over the rows x_i of X."""
-    X, y = _as_data(X, y)
-    if X.shape[1] != net.d:
-        raise DimensionMismatchError(f"samples have dimension {X.shape[1]}, network expects {net.d}")
-    p = X @ net.weights.T
-    np.maximum(p, 0.0, out=p)
-    resid = p.sum(axis=1) - y
-    return float(np.mean(resid * resid))
-
-
 def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     w = rng.normal(size=(k, d))
     norms = np.linalg.norm(w, axis=1, keepdims=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .agents import AgentConfig, _SequentialAgent, make_agent
 from .errors import GenerationError
-from .relu_model import ReluNetwork, _as_unit_rows, eval_f_batch
+from .relu_model import ReluNetwork, _as_unit_rows, _row_sum, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
 
@@ -120,12 +120,13 @@ def sample_arms(m: int, d: int, rng) -> np.ndarray:
         raise ValueError("m must be at least 1")
     gen = _as_generator(rng)
     raw = gen.standard_normal((m, d))
-    norms = np.linalg.norm(raw, axis=1)
-    while np.any(norms == 0.0):  # probability-zero guard
+    norms = np.sqrt(_row_sum(raw * raw))  # what np.linalg.norm(raw, axis=1) computes
+    while not norms.all():  # probability-zero guard
         bad = norms == 0.0
         raw[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(raw, axis=1)
-    return raw / norms[:, None]
+        norms = np.sqrt(_row_sum(raw * raw))
+    raw /= norms[:, None]
+    return raw
 
 
 def run_trial(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericError
+from .relu_model import _row_sum
 
 REFACTOR_EVERY = 512
 
@@ -138,7 +139,9 @@ def ucb_select(state: LinearUcbState, cfg: UcbConfig, candidates) -> int:
     if feats.ndim != 2 or feats.shape[1] != state.dim:
         raise DimensionMismatchError(f"candidates have shape {feats.shape}, expected (m, {state.dim})")
     beta = conf_radius(state, cfg)
-    quad = ((feats @ state.gram_inv) * feats).sum(axis=1)
+    terms = feats @ state.gram_inv
+    terms *= feats
+    quad = _row_sum(terms)
     np.maximum(quad, 0.0, out=quad)  # clip Sherman-Morrison roundoff
     scores = feats @ state.theta_hat + beta * np.sqrt(quad)
     return int(np.argmax(scores))

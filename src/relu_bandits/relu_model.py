@@ -74,11 +74,18 @@ class ReluNetwork:
         return self.weights.shape[1]
 
 
-def _as_action(x, d: int) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != d:
-        raise DimensionMismatchError(f"action has shape {a.shape}, expected ({d},)")
-    return a
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit, without numpy's reduction overhead on narrow rows.
+
+    numpy adds fewer than 8 entries left to right from +0.0, which column adds
+    reproduce; from 8 on it sums pairwise, so defer to it there.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    out = a[:, 0] + 0.0  # a copy, and +0.0 turns a -0.0 start into numpy's +0.0
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
 
 
 def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:
@@ -87,7 +94,7 @@ def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {net.d})")
     p = actions @ net.weights.T
     np.maximum(p, 0.0, out=p)
-    return p.sum(axis=1)
+    return _row_sum(p)
 
 
 def sign_robust_features_batch(actions: np.ndarray, est: ReluNetwork) -> np.ndarray:
@@ -100,24 +107,25 @@ def sign_robust_features_batch(actions: np.ndarray, est: ReluNetwork) -> np.ndar
     """
     if actions.ndim != 2 or actions.shape[1] != est.d:
         raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {est.d})")
-    ind = (actions @ est.weights.T >= 0.0).astype(np.float64)  # (m, k)
-    first = ind[:, :, None] * actions[:, None, :]  # (m, k, d)
-    second = (0.5 - ind)[:, :, None] * actions[:, None, :]
-    m = actions.shape[0]
-    return np.concatenate([first, second], axis=1).reshape(m, 2 * est.k * est.d)
+    (m, d), k = actions.shape, est.k
+    coef = np.empty((m, 2 * k))  # [ind, 1/2 - ind]
+    np.greater_equal(actions @ est.weights.T, 0.0, out=coef[:, :k])
+    np.subtract(0.5, coef[:, :k], out=coef[:, k:])
+    out = np.empty((m, 2 * k, d))
+    for j in range(d):  # column by column, each entry one product
+        np.multiply(coef, actions[:, j, None], out=out[:, :, j])
+    return out.reshape(m, 2 * k * d)
 
 
 def margin_mask(actions: np.ndarray, est: ReluNetwork, nu: float) -> np.ndarray:
     """Boolean mask of actions with |we_i . x| >= nu for every neuron i."""
     if actions.ndim != 2 or actions.shape[1] != est.d:
         raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {est.d})")
-    return (np.abs(actions @ est.weights.T) >= nu).all(axis=1)
-
-
-def gap_of(net: ReluNetwork, xstar) -> float:
-    """Smallest unsigned margin min_i |w_i . x| of an action at the network."""
-    a = _as_action(xstar, net.d)
-    return float(np.abs(net.weights @ a).min())
+    p = np.abs(actions @ est.weights.T)
+    mask = p[:, 0] >= nu
+    for i in range(1, est.k):
+        mask &= p[:, i] >= nu
+    return mask
 
 
 def _unit(angle: float) -> np.ndarray:

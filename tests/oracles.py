@@ -47,6 +47,78 @@ def sign_corrected_parameter(truth, est, nu: float) -> np.ndarray:
     return np.concatenate([truth.weights, correction], axis=0).ravel()
 
 
+def gap_of(net, xstar) -> float:
+    """Smallest unsigned margin min_i |w_i . x| of an action at the network."""
+    return float(np.abs(net.weights @ np.asarray(xstar, dtype=np.float64)).min())
+
+
+def empirical_sq_loss(net, X, y) -> float:
+    """(1/n) * sum_i (f(x_i) - y_i)^2 over the rows x_i of X."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    p = X @ net.weights.T
+    np.maximum(p, 0.0, out=p)
+    resid = p.sum(axis=1) - y
+    return float(np.mean(resid * resid))
+
+
+# the per-round kernels as numpy reductions and broadcasts, the form the
+# package replaced with bit-identical column loops
+
+
+def sample_arms_reference(m: int, d: int, gen: np.random.Generator) -> np.ndarray:
+    raw = gen.standard_normal((m, d))
+    norms = np.linalg.norm(raw, axis=1)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        raw[bad] = gen.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(raw, axis=1)
+    return raw / norms[:, None]
+
+
+def eval_f_batch_reference(weights: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    p = actions @ weights.T
+    np.maximum(p, 0.0, out=p)
+    return p.sum(axis=1)
+
+
+def sign_robust_features_reference(actions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    ind = (actions @ weights.T >= 0.0).astype(np.float64)  # (m, k)
+    first = ind[:, :, None] * actions[:, None, :]  # (m, k, d)
+    second = (0.5 - ind)[:, :, None] * actions[:, None, :]
+    return np.concatenate([first, second], axis=1).reshape(actions.shape[0], -1)
+
+
+def margin_mask_reference(actions: np.ndarray, weights: np.ndarray, nu: float) -> np.ndarray:
+    return (np.abs(actions @ weights.T) >= nu).all(axis=1)
+
+
+def ucb_quad_reference(feats: np.ndarray, gram_inv: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis norms |x|^2_{V^-1} of the rows of feats."""
+    return ((feats @ gram_inv) * feats).sum(axis=1)
+
+
+def ucb_select_reference(theta_hat: np.ndarray, gram_inv: np.ndarray, beta: float, feats: np.ndarray) -> int:
+    quad = ucb_quad_reference(feats, gram_inv)
+    np.maximum(quad, 0.0, out=quad)
+    return int(np.argmax(feats @ theta_hat + beta * np.sqrt(quad)))
+
+
+def margin_ucb_select_reference(arms, weights, nu, theta_hat, gram_inv, beta):
+    """One OFU-ReLU UCB round: (index into arms, chosen lifted row, fell back).
+
+    Filters at margin nu, falling back to every arm when none survives,
+    lifts the survivors and picks by the closed-form UCB score.
+    """
+    mask = margin_mask_reference(arms, weights, nu)
+    fell_back = not mask.any()
+    if fell_back:
+        mask = np.ones(len(arms), dtype=bool)
+    kept = np.flatnonzero(mask)
+    feats = sign_robust_features_reference(arms[kept], weights)
+    j = ucb_select_reference(theta_hat, gram_inv, beta, feats)
+    return int(kept[j]), feats[j], fell_back
+
+
 def exhaustive_match(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, tuple]:
     """Minimum assignment cost over all k! permutations and 2^k sign choices.
 

@@ -29,7 +29,6 @@ from relu_bandits import (
     build_batch_grid,
     eval_f_batch,
     exact_argmax_2d,
-    gap_of,
     gen_instance,
     h_bound,
     init_state,
@@ -46,6 +45,7 @@ from relu_bandits.cli import parse_experiment_config, run_experiment
 
 from oracles import (
     exhaustive_match,
+    gap_of,
     grid_argmax_2d,
     mp_alpha,
     mp_h,

@@ -31,6 +31,8 @@ from relu_bandits import (
     sign_robust_features_batch,
 )
 
+from oracles import margin_ucb_select_reference
+
 UCB = UcbConfig(sigma=0.1, S=math.sqrt(5.0), delta=0.1, lam=1.0)
 FIT = FitConfig(restarts=3, max_iters=200, seed=0)
 
@@ -249,6 +251,45 @@ class TestOfuReluAgent:
                 width = math.sqrt(float(feat @ state.gram_inv @ feat))
                 assert best - fvals[idx] <= 2.0 * beta * width + 1e-9
             agent.observe(float(fvals[idx]) + 0.05 * float(noise_rng.standard_normal()))
+
+
+class _ReferenceSelectAgent(OfuReluAgent):
+    """OfuReluAgent whose UCB rounds filter, lift and select the reference way."""
+
+    def _select(self, arms, rng, t):
+        i = self._batch_of(t)
+        if t <= self._explore_end[i] or self._estimate is None:
+            return super()._select(arms, rng, t)
+        idx, self._pending_features, fell_back = margin_ucb_select_reference(
+            arms, self._estimate.weights, self.grid.nus[i] / 2.0,
+            self._ridge.theta_hat, self._ridge.gram_inv, conf_radius(self._ridge, self._cfg.ucb),
+        )
+        self.fallback_rounds += fell_back
+        return idx
+
+
+class TestOfuReluSelectMatchesReference:
+    @pytest.mark.parametrize("nu,kept", [(0.0, "all"), (0.6, "some"), (2.5, "none")])
+    def test_same_picks_and_ridge(self, nu, kept):
+        # nu = 0 keeps every arm (the path without a copy), 0.6 drops some, 2.5
+        # drops all and falls back to the full set
+        rng = np.random.default_rng(21)
+        w = rng.standard_normal((3, 2))
+        truth = ReluNetwork(w / np.linalg.norm(w, axis=1, keepdims=True))
+        inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
+        arms = sample_arms(200, 2, rng)
+        cfg = OfuReluConfig(t0=10, ucb=UCB, fit=FIT, nu=nu)
+        agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
+        a = run_trial(inst, None, 60, 200, np.random.default_rng(22), agent=agent, fixed_arms=arms)
+        b = run_trial(inst, None, 60, 200, np.random.default_rng(22), agent=ref, fixed_arms=arms)
+        mask = margin_mask(arms, agent.estimate, nu / 2.0)
+        assert kept == ("all" if mask.all() else "none" if not mask.any() else "some")
+        assert agent.fallback_rounds == ref.fallback_rounds == (50 if kept == "none" else 0)
+        np.testing.assert_array_equal(a.chosen, b.chosen)
+        np.testing.assert_array_equal(a.rewards, b.rewards)
+        for name in ("gram", "moment", "gram_inv", "theta_hat"):
+            np.testing.assert_array_equal(getattr(agent.ridge, name), getattr(ref.ridge, name))
+        assert (agent.ridge.logdet, agent.ridge.count) == (ref.ridge.logdet, ref.ridge.count)
 
 
 class TestBuildBatchGrid:

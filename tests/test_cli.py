@@ -233,6 +233,16 @@ class TestCheckBounds:
         assert code == 2
         assert "--nu" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag,value,bound", [("--C1", "1e308", "t0"), ("--nu", "1e-40", "t0"), ("--sigma", "1e200", "zeta")]
+    )
+    def test_overflowed_bound_exit2(self, flag, value, bound, capsys):
+        # finite inputs whose bound formula overflows to inf, or raises on the way
+        code = main(["check-bounds", "--k", "3", "--d", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{bound} is out of floating-point range" in captured.err and f"{flag}={float(value):g}" in captured.err
+
 
 class TestSimulate:
     def test_exit_and_outputs(self, tiny_run):

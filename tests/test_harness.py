@@ -16,6 +16,8 @@ from relu_bandits import (
     sample_arms,
 )
 
+from oracles import sample_arms_reference
+
 
 def make_trace(finals, tag="x"):
     """One-round traces whose cumulative regrets are the given finals."""
@@ -90,6 +92,16 @@ class TestSampleArms:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             sample_arms(0, 2, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 8, 9])
+    def test_matches_reference_bits_and_stream(self, d):
+        for m in (1, 5, 1000):
+            gen, ref_gen = np.random.default_rng(100 + d), np.random.default_rng(100 + d)
+            for _ in range(3):
+                got, want = sample_arms(m, d, gen), sample_arms_reference(m, d, ref_gen)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 class TestRunTrial:

@@ -15,8 +15,9 @@ from relu_bandits import (
     ucb_select,
 )
 from relu_bandits.linear_ucb import REFACTOR_EVERY
+from relu_bandits.relu_model import _row_sum
 
-from oracles import ellipsoid_max_index, ridge_solve
+from oracles import ellipsoid_max_index, ridge_solve, ucb_quad_reference, ucb_select_reference
 
 
 class TestUcbConfigValidation:
@@ -224,3 +225,21 @@ class TestUcbSelect:
             if len(top) == 1 or top[0] - top[1] > 1e-2:
                 assert got == oracle_idx
             assert closed[got] == pytest.approx(closed.max(), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 8, 9, 6, 18, 42, 48, 60])  # d, and 2kd for k in (1, 3, 7, 8, 10)
+    def test_matches_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        cfg = UcbConfig(sigma=0.3, S=1.0, delta=0.2, lam=0.5)
+        s = init_state(dim, 0.5)
+        for _ in range(2 * dim):
+            s = ridge_update(s, rng.standard_normal(dim), rng.standard_normal())
+        beta = conf_radius(s, cfg)
+        for m in (1, 5, 1000):
+            feats = rng.standard_normal((m, dim))
+            feats[::4, 0] = 0.0
+            got = ucb_select(s, cfg, feats)
+            assert got == ucb_select_reference(s.theta_hat, s.gram_inv, beta, feats)
+            # the quadratic form, summed the way ucb_select sums it
+            quad = _row_sum((feats @ s.gram_inv) * feats)
+            want = ucb_quad_reference(feats, s.gram_inv)
+            assert np.array_equal(quad.view(np.uint64), want.view(np.uint64))

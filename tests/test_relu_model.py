@@ -9,12 +9,20 @@ from relu_bandits import (
     UnsupportedDimensionError,
     eval_f_batch,
     exact_argmax_2d,
-    gap_of,
     margin_mask,
     sign_robust_features_batch,
 )
+from relu_bandits.relu_model import _row_sum
 
-from oracles import eval_f_reference, grid_argmax_2d, sign_corrected_parameter
+from oracles import (
+    eval_f_batch_reference,
+    eval_f_reference,
+    gap_of,
+    grid_argmax_2d,
+    margin_mask_reference,
+    sign_corrected_parameter,
+    sign_robust_features_reference,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -301,3 +309,88 @@ class TestLinearizationIdentity:
             kept = X[mask][:20]
             lhs = sign_robust_features_batch(kept, est)[:, : k * d] @ truth.weights.reshape(-1)
             np.testing.assert_allclose(lhs, eval_f_batch(truth, kept), rtol=0, atol=1e-9)
+
+
+KERNEL_KS = (1, 3, 7, 8, 10)
+KERNEL_DS = (2, 3, 7, 8, 9)
+KERNEL_MS = (1, 5, 1000)
+
+
+def assert_same_bits(got, want):
+    """Exact equality down to the sign of zero."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def kernel_case(rng, k, d, m, orthant):
+    """Weights with neuron 0 on the first axis, and m unit arms cycling through
+    a random row, a row at that neuron's kink (first coordinate exactly 0) and,
+    with orthant weights (all entries >= 0), a row in the negative orthant that
+    every neuron scores <= 0, so f is exactly 0 there."""
+    w = rng.standard_normal((k, d))
+    if orthant:
+        w = np.abs(w)
+    w[0] = 0.0
+    w[0, 0] = 1.0
+    x = rng.standard_normal((m, d))
+    x[1::3, 0] = 0.0
+    if orthant:
+        x[2::3] = -np.abs(x[2::3])
+        x[2::6, 0] = 0.0
+    unit_rows = lambda a: a / np.linalg.norm(a, axis=1, keepdims=True)
+    return ReluNetwork(unit_rows(w)), unit_rows(x)
+
+
+def kernel_cases(k):
+    rng = np.random.default_rng(1000 + k)
+    for d in KERNEL_DS:
+        for m in KERNEL_MS:
+            for orthant in (False, True):
+                yield kernel_case(rng, k, d, m, orthant)
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("m", KERNEL_MS)
+    def test_equals_numpy_sum_on_both_sides_of_eight(self, m):
+        rng = np.random.default_rng(m)
+        for n in range(1, 21):
+            a = rng.standard_normal((m, n)) * np.exp(rng.uniform(-30.0, 30.0, (m, n)))
+            a[::2, ::3] = -0.0
+            assert_same_bits(_row_sum(a), a.sum(axis=1))
+
+    def test_signed_zero_rows(self):
+        a = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.0]])
+        assert_same_bits(_row_sum(a), a.sum(axis=1))
+
+
+class TestKernelsMatchReference:
+    """The kernels return what the plain numpy forms in ``oracles`` return, bit for bit."""
+
+    @pytest.mark.parametrize("k", KERNEL_KS)
+    def test_eval_f_batch(self, k):
+        for net, x in kernel_cases(k):
+            got = eval_f_batch(net, x)
+            assert_same_bits(got, eval_f_batch_reference(net.weights, x))
+        net, x = kernel_case(np.random.default_rng(k), k, 3, 6, orthant=True)
+        assert (eval_f_batch(net, x)[2::3] == 0.0).all()  # the negative-orthant rows
+
+    @pytest.mark.parametrize("k", KERNEL_KS)
+    def test_sign_robust_features_batch(self, k):
+        for net, x in kernel_cases(k):
+            got = sign_robust_features_batch(x, net)
+            assert_same_bits(got, sign_robust_features_reference(x, net.weights))
+        net, x = kernel_case(np.random.default_rng(k), k, 3, 6, orthant=False)
+        at_kink = sign_robust_features_batch(x[1:2], net)[0]  # neuron 0 scores exactly 0: active
+        np.testing.assert_array_equal(at_kink[:3], x[1])
+        np.testing.assert_array_equal(at_kink[3 * k : 3 * k + 3], -0.5 * x[1])
+
+    @pytest.mark.parametrize("k", KERNEL_KS)
+    def test_margin_mask_keeps_all_some_none(self, k):
+        seen = set()
+        for net, x in kernel_cases(k):
+            proj = np.abs(x @ net.weights.T).min(axis=1)
+            for nu in (0.0, float(np.median(proj)), float(proj.max()), 1.5):
+                got = margin_mask(x, net, nu)
+                np.testing.assert_array_equal(got, margin_mask_reference(x, net.weights, nu))
+                seen.add("all" if got.all() else "none" if not got.any() else "some")
+        assert seen == {"all", "some", "none"}
