@@ -49,7 +49,7 @@ from .harness import (
     run_trial,
     sample_arms,
 )
-from .linear_ucb import LinearUcbState, UcbConfig, conf_radius, init_state, ridge_update, ucb_select
+from .linear_ucb import LinearUcbState, UcbConfig, conf_radius, ridge_update, ucb_select
 from .relu_model import (
     ReluNetwork,
     eval_f_batch,
@@ -96,7 +96,6 @@ __all__ = [
     "fit_erm",
     "gen_instance",
     "h_bound",
-    "init_state",
     "margin_mask",
     "match_neurons",
     "make_agent",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError
 from .estimation import BoundParams, FitConfig, fit_erm, t0_schedule
-from .linear_ucb import LinearUcbState, UcbConfig, init_state, ridge_update, ucb_select
+from .linear_ucb import LinearUcbState, UcbConfig, ridge_update, ucb_select
 from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
 
 
@@ -209,17 +209,18 @@ class OfulAgent(_SequentialAgent):
         super().__init__()
         self.label = cfg.label
         self._cfg = cfg
-        self._ridge = init_state(d, cfg.ucb.lam)
+        self._ridge = LinearUcbState(d, cfg.ucb.lam)
 
     @property
     def ridge(self) -> LinearUcbState:
+        """The live ridge state, which the agent updates in place."""
         return self._ridge
 
     def _select(self, arms, rng, t):
         return ucb_select(self._ridge, self._cfg.ucb, arms)
 
     def _observe(self, t, action, reward):
-        self._ridge = ridge_update(self._ridge, action, reward)
+        ridge_update(self._ridge, action, reward)
 
 
 def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, T: int) -> tuple[BatchGrid, int]:
@@ -266,7 +267,7 @@ class OfuReluAgent(_SequentialAgent):
             for i, (start, size) in enumerate(zip(self.grid.boundaries, self.grid.explore_sizes))
         ]
         self._estimate: ReluNetwork | None = None
-        self._ridge = init_state(2 * k * d, cfg.ucb.lam)
+        self._ridge = LinearUcbState(2 * k * d, cfg.ucb.lam)
         self._pending_features: np.ndarray | None = None
         self._actions = np.empty((T, d))
         self._rewards = np.empty(T)
@@ -280,6 +281,7 @@ class OfuReluAgent(_SequentialAgent):
 
     @property
     def ridge(self) -> LinearUcbState:
+        """The live ridge state: updated in place, replaced at each refit."""
         return self._ridge
 
     @property
@@ -320,14 +322,14 @@ class OfuReluAgent(_SequentialAgent):
         self._rewards[t - 1] = reward
         if self._pending_features is not None:
             # a UCB round: absorb under the current estimate
-            self._ridge = ridge_update(self._ridge, self._pending_features, reward)
+            ridge_update(self._ridge, self._pending_features, reward)
             self._pending_features = None
             return
         # an exploration round
         self._explored[t - 1] = True
         if self._estimate is not None:
             feats = sign_robust_features_batch(action[None, :], self._estimate)[0]
-            self._ridge = ridge_update(self._ridge, feats, reward)
+            ridge_update(self._ridge, feats, reward)
         i = self._batch_of(t)
         if t == self._explore_end[i] and self.grid.boundaries[i] < t:
             self._refit()
@@ -335,10 +337,10 @@ class OfuReluAgent(_SequentialAgent):
     def _refit(self):
         X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
         self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
-        self._ridge = init_state(2 * self._k * self._d, self._cfg.ucb.lam)
+        self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start
         for row, reward in zip(sign_robust_features_batch(X[start:], self._estimate), y[start:]):
-            self._ridge = ridge_update(self._ridge, row, reward)
+            ridge_update(self._ridge, row, reward)
 
 
 AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig

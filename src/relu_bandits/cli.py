@@ -338,29 +338,31 @@ def cmd_check_bounds(args) -> int:
     if args.n < 1:
         raise ConfigError("n must be at least 1")
     p = BoundParams(k=args.k, d=args.d, sigma=args.sigma, delta=args.delta, T=float(args.T), C1=args.C1, C2=args.C2)
-    bounds = {}
-    for name, flags, bound in (
+    bounds = {}  # every bound is evaluated and checked before anything prints
+    formulas = [
         ("zeta", "k d sigma delta n", lambda: zeta_bound(args.n, p)),
         ("alpha", "k d sigma delta n", lambda: alpha_bound(bounds["zeta"], p)),
         ("t0", "nu C1 C2 k d sigma T", lambda: t0_schedule(args.nu, p)),
-    ):
+    ]
+    if args.d >= 3:
+        formulas += [
+            (f"h(eta=0, eps={eps:g})", "k d", lambda eps=eps: h_bound(0.0, eps, args.k, args.d))
+            for eps in (0.001, 0.002, 0.003)
+        ]
+    for name, flags, bound in formulas:
         try:  # a finite input can still over- or underflow the formula
             bounds[name] = bound()
+        except BoundVacuousError:
+            bounds[name] = None
+            continue
         except ArithmeticError:
             bounds[name] = math.inf
         if not math.isfinite(bounds[name]):
             given = ", ".join(f"--{f}={getattr(args, f):g}" for f in flags.split())
             raise ConfigError(f"{name} is out of floating-point range at {given}")
     for name, value in bounds.items():
-        print(f"{name} {value:.12g}")
-    if args.d >= 3:
-        for eps in (0.001, 0.002, 0.003):
-            try:
-                hv = h_bound(0.0, eps, args.k, args.d)
-                print(f"h(eta=0, eps={eps:g}) {hv:.12g}")
-            except BoundVacuousError:
-                print(f"h(eta=0, eps={eps:g}) vacuous (nonpositive denominator)")
-    else:
+        print(f"{name} vacuous (nonpositive denominator)" if value is None else f"{name} {value:.12g}")
+    if args.d < 3:
         print("h unsupported for d < 3")
     return 0
 

@@ -7,10 +7,10 @@ log-determinant rides along the same updates.  Arm selection uses the closed
 form value + radius * Mahalanobis norm, which equals the joint argmax over
 arms and ellipsoid parameters for linear objectives.
 
-States are immutable: ``ridge_update`` returns a fresh state, so a state can
-be handed between execution contexts and never aliases live arrays.  The
-engine is policy-free; callers choose delta per phase (the agents here pass
-1/sqrt(T)).
+A state has one owner, which updates it in place with ``ridge_update``; an
+owner that must start over (an agent refitting its features) builds a fresh
+state and replays its rows into it.  The engine is policy-free; callers
+choose delta per phase (the agents here pass 1/sqrt(T)).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import DimensionMismatchError, NumericError
 from .relu_model import _row_sum
 
 REFACTOR_EVERY = 512
+LAMBDA_MIN = math.sqrt(np.finfo(float).eps)  # ~1.49e-8
 
 
 @dataclass(frozen=True)
@@ -38,45 +39,30 @@ class UcbConfig:
             raise ValueError("sigma must be nonnegative")
         if self.S <= 0.0:
             raise ValueError("S must be positive")
-        # the radius takes log(1/delta) and the inverse Gram starts at I/lambda
+        # the radius takes log(1/delta)
         if not 0.0 < self.delta < 1.0 or math.isinf(1.0 / self.delta):
             raise ValueError("delta must lie in (0, 1) and have a finite reciprocal")
-        if self.lam <= 0.0 or math.isinf(1.0 / self.lam):
-            raise ValueError("lambda must be positive and have a finite reciprocal")
+        # below sqrt(eps) the Sherman-Morrison updates lose the ridge solution
+        if not self.lam >= LAMBDA_MIN:
+            raise ValueError(f"lambda must be at least sqrt(machine epsilon) = {LAMBDA_MIN:.3g}")
 
 
-@dataclass(frozen=True, eq=False)
 class LinearUcbState:
     """Ridge-regression state V = lam*I + sum x x^T, b = sum y x."""
 
-    dim: int
-    lam: float
-    gram: np.ndarray
-    moment: np.ndarray
-    gram_inv: np.ndarray
-    theta_hat: np.ndarray
-    logdet: float  # log det(gram), maintained incrementally
-    count: int
-    since_refactor: int
-
-
-def init_state(dim: int, lam: float = 1.0) -> LinearUcbState:
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    eye = np.eye(dim)
-    return LinearUcbState(
-        dim=dim,
-        lam=lam,
-        gram=lam * eye,
-        moment=np.zeros(dim),
-        gram_inv=eye / lam,
-        theta_hat=np.zeros(dim),
-        logdet=dim * math.log(lam),
-        count=0,
-        since_refactor=0,
-    )
+    def __init__(self, dim: int, lam: float = 1.0):
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        if lam <= 0.0:
+            raise ValueError("lambda must be positive")
+        eye = np.eye(dim)
+        self.dim = dim
+        self.lam = lam
+        self.gram = lam * eye
+        self.moment = np.zeros(dim)
+        self.gram_inv = eye / lam
+        self.logdet = dim * math.log(lam)  # log det(gram), maintained incrementally
+        self.count = 0
 
 
 def _as_feature(x, dim: int) -> np.ndarray:
@@ -88,35 +74,27 @@ def _as_feature(x, dim: int) -> np.ndarray:
     return a
 
 
-def ridge_update(state: LinearUcbState, x, y: float) -> LinearUcbState:
-    """Absorb one observation (x, y) and return the new state."""
+def ridge_update(state: LinearUcbState, x, y: float) -> None:
+    """Absorb one observation (x, y) into ``state`` in place.
+
+    A NumericError from the periodic re-factorization leaves the state
+    part-updated; it is not usable afterwards.
+    """
     a = _as_feature(x, state.dim)
-    gram = state.gram + np.outer(a, a)
-    moment = state.moment + float(y) * a
-    since = state.since_refactor + 1
-    if since >= REFACTOR_EVERY:
-        gram_inv = np.linalg.inv(gram)
-        sign, logdet = np.linalg.slogdet(gram)
+    state.gram += np.outer(a, a)
+    state.moment += float(y) * a
+    state.count += 1
+    if state.count % REFACTOR_EVERY == 0:
+        gram_inv = np.linalg.inv(state.gram)
+        sign, state.logdet = np.linalg.slogdet(state.gram)
         if sign <= 0:
             raise NumericError("Gram matrix lost positive definiteness")
-        since = 0
     else:
         inv_a = state.gram_inv @ a
         denom = 1.0 + float(a @ inv_a)
         gram_inv = state.gram_inv - np.outer(inv_a, inv_a) / denom
-        logdet = state.logdet + math.log(denom)
-    gram_inv = 0.5 * (gram_inv + gram_inv.T)  # keep symmetry against roundoff drift
-    return LinearUcbState(
-        dim=state.dim,
-        lam=state.lam,
-        gram=gram,
-        moment=moment,
-        gram_inv=gram_inv,
-        theta_hat=gram_inv @ moment,
-        logdet=logdet,
-        count=state.count + 1,
-        since_refactor=since,
-    )
+        state.logdet += math.log(denom)
+    state.gram_inv = 0.5 * (gram_inv + gram_inv.T)  # keep symmetry against roundoff drift
 
 
 def conf_radius(state: LinearUcbState, cfg: UcbConfig) -> float:
@@ -130,7 +108,7 @@ def conf_radius(state: LinearUcbState, cfg: UcbConfig) -> float:
 
 
 def ucb_select(state: LinearUcbState, cfg: UcbConfig, candidates) -> int:
-    """Index maximizing x . theta_hat + beta * |x|_{V^-1}; ties pick the lowest index."""
+    """Index maximizing x . V^-1 b + beta * |x|_{V^-1}; ties pick the lowest index."""
     feats = np.asarray(candidates, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[None, :]
@@ -143,5 +121,5 @@ def ucb_select(state: LinearUcbState, cfg: UcbConfig, candidates) -> int:
     terms *= feats
     quad = _row_sum(terms)
     np.maximum(quad, 0.0, out=quad)  # clip Sherman-Morrison roundoff
-    scores = feats @ state.theta_hat + beta * np.sqrt(quad)
+    scores = feats @ (state.gram_inv @ state.moment) + beta * np.sqrt(quad)
     return int(np.argmax(scores))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -117,6 +118,45 @@ def margin_ucb_select_reference(arms, weights, nu, theta_hat, gram_inv, beta):
     feats = sign_robust_features_reference(arms[kept], weights)
     j = ucb_select_reference(theta_hat, gram_inv, beta, feats)
     return int(kept[j]), feats[j], fell_back
+
+
+# the copy-on-update ridge engine, the form the package replaced with one
+# state updated in place
+
+
+@dataclass(frozen=True)
+class RidgeReference:
+    gram: np.ndarray
+    moment: np.ndarray
+    gram_inv: np.ndarray
+    theta_hat: np.ndarray
+    logdet: float
+    since_refactor: int
+
+
+def ridge_init_reference(dim: int, lam: float) -> RidgeReference:
+    eye = np.eye(dim)
+    return RidgeReference(lam * eye, np.zeros(dim), eye / lam, np.zeros(dim), dim * math.log(lam), 0)
+
+
+def ridge_update_reference(state: RidgeReference, x: np.ndarray, y: float, refactor_every: int) -> RidgeReference:
+    """A fresh state after one observation: Sherman-Morrison, or a full
+    re-factorization on every refactor_every-th update."""
+    a = np.asarray(x, dtype=np.float64)
+    gram = state.gram + np.outer(a, a)
+    moment = state.moment + float(y) * a
+    since = state.since_refactor + 1
+    if since >= refactor_every:
+        gram_inv = np.linalg.inv(gram)
+        _, logdet = np.linalg.slogdet(gram)
+        since = 0
+    else:
+        inv_a = state.gram_inv @ a
+        denom = 1.0 + float(a @ inv_a)
+        gram_inv = state.gram_inv - np.outer(inv_a, inv_a) / denom
+        logdet = state.logdet + math.log(denom)
+    gram_inv = 0.5 * (gram_inv + gram_inv.T)
+    return RidgeReference(gram, moment, gram_inv, gram_inv @ moment, logdet, since)
 
 
 def exhaustive_match(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, tuple]:

@@ -2,9 +2,10 @@
 
 Each test prints one CRITERION line (PASS or FAIL with the measured numbers)
 so a plain ``pytest -v`` run doubles as the acceptance report.  The two
-experiment reproductions run the shipped configs at full scale, so this
-module dominates the suite's runtime; they are marked ``slow``, and
-``pytest -m "not slow"`` leaves them out.
+experiment reproductions run the shipped configs at full scale and
+criterion 12 runs to T = 4000, so this module dominates the suite's
+runtime; they are marked ``slow``, and ``pytest -m "not slow"`` leaves them
+out.
 """
 
 import json
@@ -22,6 +23,7 @@ from relu_bandits import (
     BoundParams,
     FitConfig,
     Instance,
+    LinearUcbState,
     OfuReluAgent,
     OfuReluPlusConfig,
     ReluNetwork,
@@ -31,7 +33,6 @@ from relu_bandits import (
     exact_argmax_2d,
     gen_instance,
     h_bound,
-    init_state,
     margin_mask,
     match_neurons,
     ridge_update,
@@ -290,11 +291,11 @@ class TestCriterion8OfulSanity:
             theta /= np.linalg.norm(theta)
             vals = arms @ theta
             best = vals.max()
-            state = init_state(4, 1.0)
+            state = LinearUcbState(4, 1.0)
             cum, r1000 = 0.0, 0.0
             for t in range(1, 4001):
                 idx = ucb_select(state, cfg, arms)
-                state = ridge_update(state, arms[idx], vals[idx] + 0.1 * rng.standard_normal())
+                ridge_update(state, arms[idx], vals[idx] + 0.1 * rng.standard_normal())
                 cum += best - vals[idx]
                 if t == 1000:
                     r1000 = cum
@@ -344,15 +345,15 @@ class TestCriterion9PlusStructure:
                 if agent.ridge.count != 0:
                     max_dev = math.inf
                 continue
-            replay = init_state(4, ucb.lam)
+            replay = LinearUcbState(4, ucb.lam)
             X, rewards = agent.history()
             for x, reward in zip(X, rewards):
                 feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
-                replay = ridge_update(replay, feat, reward)
+                ridge_update(replay, feat, reward)
             dev = max(
                 float(np.abs(agent.ridge.gram - replay.gram).max()),
                 float(np.abs(agent.ridge.moment - replay.moment).max()),
-                float(np.abs(agent.ridge.theta_hat - replay.theta_hat).max()),
+                float(np.abs(agent.ridge.gram_inv @ agent.ridge.moment - replay.gram_inv @ replay.moment).max()),
             )
             max_dev = max(max_dev, dev)
         replay_ok = max_dev <= 1e-8
@@ -412,4 +413,32 @@ class TestCriterion10Determinism:
             "byte-identical across --jobs 1 vs --jobs 2: "
             + ", ".join(f"{k}={v}" for k, v in same.items())
             + " (summary.json excluded: echoes the output path)",
+        )
+
+
+@pytest.mark.slow
+class TestCriterion12SqrtTGrowth:
+    # frozen before the first run: the fig2a shape with 200 arms per round,
+    # fig2a's ofu_relu and oful blocks, T = 4000, 20 trials, master seed 7
+    CONFIG = {
+        "k": 3, "d": 2, "T": 4000, "trials": 20, "arms_per_round": 200, "sigma": 0.1, "alpha0": 0.9, "seed": 7,
+        "algorithms": [{"name": "ofu_relu", "t0": 20, "lambda": 0.01}, {"name": "oful", "lambda": 0.01}],
+    }
+
+    def test_post_exploration_regret_grows_like_sqrt_T(self, capsys):
+        # quadrupling T after the t0 = 20 exploration rounds should at most
+        # double OFU-ReLU's regret (sqrt(4) = 2, with the slack of criterion 8),
+        # while misspecified OFUL grows faster
+        start = time.time()
+        _, aggs = run_experiment(parse_experiment_config(self.CONFIG), jobs=2)
+        ratios = {}
+        for agg in aggs:
+            R = agg.mean_cum_regret
+            ratios[agg.algorithm] = (R[3999] - R[19]) / (R[999] - R[19])
+        ok = ratios["ofu_relu"] <= 2.2 and ratios["ofu_relu"] < ratios["oful"]
+        report(
+            capsys, 12,
+            ok,
+            f"(R(4000) - R(20)) / (R(1000) - R(20)): ofu_relu {ratios['ofu_relu']:.3f} <= 2.2 "
+            f"and < oful {ratios['oful']:.3f}; 20 trials, {time.time() - start:.0f}s",
         )

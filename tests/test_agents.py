@@ -8,6 +8,7 @@ from relu_bandits import (
     ConfigError,
     FitConfig,
     Instance,
+    LinearUcbState,
     OfuReluAgent,
     OfuReluConfig,
     OfuReluPlusConfig,
@@ -22,7 +23,6 @@ from relu_bandits import (
     build_batch_grid,
     conf_radius,
     eval_f_batch,
-    init_state,
     make_agent,
     margin_mask,
     ridge_update,
@@ -262,7 +262,7 @@ class _ReferenceSelectAgent(OfuReluAgent):
             return super()._select(arms, rng, t)
         idx, self._pending_features, fell_back = margin_ucb_select_reference(
             arms, self._estimate.weights, self.grid.nus[i] / 2.0,
-            self._ridge.theta_hat, self._ridge.gram_inv, conf_radius(self._ridge, self._cfg.ucb),
+            self._ridge.gram_inv @ self._ridge.moment, self._ridge.gram_inv, conf_radius(self._ridge, self._cfg.ucb),
         )
         self.fallback_rounds += fell_back
         return idx
@@ -287,7 +287,7 @@ class TestOfuReluSelectMatchesReference:
         assert agent.fallback_rounds == ref.fallback_rounds == (50 if kept == "none" else 0)
         np.testing.assert_array_equal(a.chosen, b.chosen)
         np.testing.assert_array_equal(a.rewards, b.rewards)
-        for name in ("gram", "moment", "gram_inv", "theta_hat"):
+        for name in ("gram", "moment", "gram_inv"):
             np.testing.assert_array_equal(getattr(agent.ridge, name), getattr(ref.ridge, name))
         assert (agent.ridge.logdet, agent.ridge.count) == (ref.ridge.logdet, ref.ridge.count)
 
@@ -365,15 +365,17 @@ class TestOfuReluPlusAgent:
         # final estimate
         agent, _ = self._run(None, 60, cfg=cfg)
         assert agent.estimate is not None
-        state = init_state(2 * 1 * 2, UCB.lam)
+        state = LinearUcbState(2 * 1 * 2, UCB.lam)
         X, y = agent.history()
         assert agent.ridge.count == 60 - start
         for x, reward in zip(X[start:], y[start:]):
             feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
-            state = ridge_update(state, feat, reward)
+            ridge_update(state, feat, reward)
         np.testing.assert_allclose(agent.ridge.gram, state.gram, atol=1e-8)
         np.testing.assert_allclose(agent.ridge.moment, state.moment, atol=1e-8)
-        np.testing.assert_allclose(agent.ridge.theta_hat, state.theta_hat, atol=1e-8)
+        np.testing.assert_allclose(
+            agent.ridge.gram_inv @ agent.ridge.moment, state.gram_inv @ state.moment, atol=1e-8
+        )
 
     def test_history_holds_copies_of_the_chosen_rows(self):
         agent, _ = self._run((6, 3, 2), 60)

@@ -234,10 +234,18 @@ class TestCheckBounds:
         assert "--nu" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
-        "flag,value,bound", [("--C1", "1e308", "t0"), ("--nu", "1e-40", "t0"), ("--sigma", "1e200", "zeta")]
+        "flag,value,bound",
+        [
+            ("--C1", "1e308", "t0"),
+            ("--nu", "1e-40", "t0"),
+            ("--sigma", "1e200", "zeta"),
+            pytest.param("--d", "400", "h(eta=0, eps=0.001)", id="--d-400-h"),  # Gamma(d/2) overflows
+            pytest.param("--d", "100000", "h(eta=0, eps=0.001)", id="--d-100000-h"),  # pi^(d/2) overflows
+        ],
     )
     def test_overflowed_bound_exit2(self, flag, value, bound, capsys):
-        # finite inputs whose bound formula overflows to inf, or raises on the way
+        # finite inputs whose bound formula overflows to inf, or raises on the
+        # way; every bound is checked before any prints
         code = main(["check-bounds", "--k", "3", "--d", "2", flag, value])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -335,11 +343,13 @@ class TestSimulate:
             ({"name": "ofu_relu_plus", "T1": 8, "b": 1e300}, GRID_RANGE),  # b**2 overflows
             ({"name": "ofu_relu_plus", "T1": 8, "C1": 1e308}, GRID_RANGE),  # t0(nu) is inf
             ({"name": "oful", "lambda": 1e-320}, "algorithms[0]: lambda"),  # 1/lambda is inf
+            ({"name": "ofu_relu", "lambda": 1e-16}, "algorithms[0]: lambda"),  # below sqrt(eps)
             ({"name": "ofu_relu", "delta": 1e-320}, "algorithms[0]: delta"),  # 1/delta is inf
         ],
         ids=[
             "fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short",
-            "nu0-underflow", "b-overflow", "C1-overflow", "lambda-reciprocal", "delta-reciprocal",
+            "nu0-underflow", "b-overflow", "C1-overflow", "lambda-reciprocal", "lambda-tiny",
+            "delta-reciprocal",
         ],
     )
     def test_bad_block_exit2_before_output(self, tmp_path, capsys, block, field):
