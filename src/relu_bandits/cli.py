@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -255,6 +254,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialTrac
     if jobs <= 1:
         results = [_run_cell(c) for c in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: multiprocessing is slow to import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, cells))
     results.sort(key=lambda r: (r[0], r[1]))

@@ -27,7 +27,7 @@ class FitConfig:
     restarts: int = 10
     max_iters: int = 600
     step_size: float = 0.2
-    tol: float = 1e-9  # gradient-norm stop
+    tol: float = 1e-9  # projected-step stop: a step moving the rows by at most step_size * tol
     seed: int = 0
 
     def __post_init__(self):
@@ -105,13 +105,18 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
     The restarts descend together as one (R, k, d) stack, their initial rows
     drawn restart by restart from one generator seeded with ``cfg.seed``.
     Each step renormalizes rows to the unit sphere; the ReLU subgradient at
-    the kink is 0 (g'(z) = 1{z > 0}).  A restart freezes once its gradient
-    norm is at most ``cfg.tol`` and is discarded once its loss goes
-    non-finite; a row that collapses onto the origin is redrawn in place,
-    from the same generator after all initial draws.  Otherwise each restart
-    does the arithmetic of a lone descent, so the result equals running them
-    one after another.  The earliest restart with the smallest finite final
-    loss (``np.mean``) wins.  Raises FitError if every restart is discarded.
+    the kink is 0 (g'(z) = 1{z > 0}).  A row that collapses onto the origin
+    is redrawn in place, from the same generator after all initial draws.
+    A restart freezes at its pre-step rows once its projected step, redraws
+    included, would move them by at most ``cfg.step_size * cfg.tol``
+    (Frobenius norm): the gradient mapping, which unlike the raw gradient
+    vanishes at a minimum on the sphere.  A restart is discarded once its
+    loss goes non-finite; that test is skipped when the labels bound every
+    loss, since unit rows keep each residual within k + max|y|.  Otherwise
+    each restart does the arithmetic of a lone descent, so the result equals
+    running them one after another.  The earliest restart with the smallest
+    finite final loss (``np.mean``) wins.  Raises FitError if every restart
+    is discarded.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -120,28 +125,34 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
     rng = np.random.default_rng(cfg.seed)
     W = np.stack([_unit_rows(rng, k, d) for _ in range(cfg.restarts)])
     finite = np.ones(cfg.restarts, dtype=bool)  # cleared when a restart's loss goes non-finite
+    check_loss = not k + np.abs(y).max() < math.sqrt(1e300 / n)  # n (k + max|y|)^2 < 1e300 cannot overflow
     live, w = np.arange(cfg.restarts), W.copy()  # the restarts still descending, and their rows
     for _ in range(cfg.max_iters):
         p = w @ X.T  # (L, k, n); the stacked matmul makes each restart's own BLAS call
         resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
-        bad = ~np.isfinite((resid * resid).sum(axis=1))  # the sum np.mean takes: finite just when the loss is
-        if bad.any():
-            finite[live[bad]] = False
-            live, w, p, resid = live[~bad], w[~bad], p[~bad], resid[~bad]
+        if check_loss:
+            bad = ~np.isfinite((resid * resid).sum(axis=1))  # the sum np.mean takes: finite just when the loss is
+            if bad.any():
+                finite[live[bad]] = False
+                live, w, p, resid = live[~bad], w[~bad], p[~bad], resid[~bad]
+                if not live.size:
+                    break
         grad = (2.0 / n) * (((p > 0.0) * resid[:, None, :]) @ X)  # (L, k, d)
-        done = np.sqrt((grad * grad).reshape(len(live), k * d).sum(axis=1)) <= cfg.tol
+        step = w - cfg.step_size * grad
+        norms = np.sqrt((step * step).sum(axis=2, keepdims=True))  # what np.linalg.norm computes
+        if norms.min() < 1e-12:  # a row collapsed onto the origin; restart it in place
+            small = norms[..., 0] < 1e-12
+            step[small] = _unit_rows(rng, int(small.sum()), d)
+            norms = np.sqrt((step * step).sum(axis=2, keepdims=True))
+        step /= norms
+        moved = step - w
+        done = np.sqrt((moved * moved).reshape(len(live), k * d).sum(axis=1)) <= cfg.step_size * cfg.tol
         if done.any():
             W[live[done]] = w[done]
-            live, w, grad = live[~done], w[~done], grad[~done]
+            live, step = live[~done], step[~done]
+        w = step
         if not live.size:
             break
-        w = w - cfg.step_size * grad
-        norms = np.linalg.norm(w, axis=2, keepdims=True)
-        small = norms[..., 0] < 1e-12
-        if small.any():  # a row collapsed onto the origin; restart it in place
-            w[small] = _unit_rows(rng, int(small.sum()), d)
-            norms = np.linalg.norm(w, axis=2, keepdims=True)
-        w = w / norms
     W[live] = w
     p = W @ X.T
     resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
@@ -206,9 +217,13 @@ def alpha_bound(zeta: float, p: BoundParams) -> float:
 
 
 def _sphere_area(n_minus_1: int) -> float:
-    """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2)."""
+    """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2).
+
+    Taken in log space: pi^(n/2) and Gamma(n/2) overflow from n of about 340,
+    while the area itself only shrinks toward 0.
+    """
     n = n_minus_1 + 1
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return math.exp(math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
 def h_bound(eta: float, eps: float, k: int, d: int) -> float:

@@ -298,7 +298,9 @@ def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_i
     """Best-of-restarts projected gradient descent, one restart after another.
 
     The per-restart loop that ``fit_erm`` replaced with a stacked descent,
-    kept verbatim: returns the winning (k, d) weights, or raises
+    kept verbatim but for its stop rule: a restart stops at its pre-step rows
+    once the projected step (redraws included) would move them by at most
+    step_size * tol.  Returns the winning (k, d) weights, or raises
     ``FitError`` when every restart's loss went non-finite.
     """
     from relu_bandits import FitError
@@ -318,15 +320,16 @@ def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_i
                 diverged = True
                 break
             grad = (2.0 / n) * (((p > 0.0) * resid) @ X)  # (k, d)
-            if float(np.sqrt((grad * grad).sum())) <= tol:
-                break
-            w = w - step_size * grad
-            norms = np.linalg.norm(w, axis=1, keepdims=True)
+            step = w - step_size * grad
+            norms = np.linalg.norm(step, axis=1, keepdims=True)
             small = norms[:, 0] < 1e-12
             if small.any():  # a row collapsed onto the origin; restart it in place
-                w[small] = _unit_rows_reference(rng, int(small.sum()), X.shape[1])
-                norms = np.linalg.norm(w, axis=1, keepdims=True)
-            w = w / norms
+                step[small] = _unit_rows_reference(rng, int(small.sum()), X.shape[1])
+                norms = np.linalg.norm(step, axis=1, keepdims=True)
+            step = step / norms
+            if float(np.sqrt(((step - w) * (step - w)).sum())) <= step_size * tol:
+                break  # the projected step no longer moves the rows: keep them
+            w = step
         if diverged:
             continue
         p = w @ X.T

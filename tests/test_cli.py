@@ -20,6 +20,8 @@ from relu_bandits import (
 )
 from relu_bandits.cli import main, parse_experiment_config
 
+from oracles import mp_h
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GRID_RANGE = "algorithms[0]: a value is out of floating-point range"
 
@@ -239,8 +241,6 @@ class TestCheckBounds:
             ("--C1", "1e308", "t0"),
             ("--nu", "1e-40", "t0"),
             ("--sigma", "1e200", "zeta"),
-            pytest.param("--d", "400", "h(eta=0, eps=0.001)", id="--d-400-h"),  # Gamma(d/2) overflows
-            pytest.param("--d", "100000", "h(eta=0, eps=0.001)", id="--d-100000-h"),  # pi^(d/2) overflows
         ],
     )
     def test_overflowed_bound_exit2(self, flag, value, bound, capsys):
@@ -250,6 +250,23 @@ class TestCheckBounds:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"{bound} is out of floating-point range" in captured.err and f"{flag}={float(value):g}" in captured.err
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            pytest.param(400, id="--d-400-h"),  # pi^(d/2) and Gamma(d/2) overflow, the areas do not
+            pytest.param(100000, id="--d-100000-h"),  # the areas underflow to 0
+        ],
+    )
+    def test_large_d_h_vacuous(self, d, capsys):
+        # 48 k d eps > 1 - d eps^2 / 2 here, so the denominator is negative
+        # whatever the sphere areas are, as the high-precision oracle agrees
+        code = main(["check-bounds", "--k", "3", "--d", str(d)])
+        out = capsys.readouterr().out
+        assert code == 0
+        for eps in (0.001, 0.002, 0.003):
+            assert mp_h(0.0, eps, 3, d) is None
+            assert f"h(eta=0, eps={eps:g}) vacuous (nonpositive denominator)" in out.splitlines()
 
 
 class TestSimulate:
@@ -474,6 +491,16 @@ class TestEntryPoint:
         # scipy is imported inside match_neurons only, which keeps CLI start-up short
         src = str(Path(relu_bandits.__file__).resolve().parents[1])
         code = "import sys, relu_bandits.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # the process pool is imported only when --jobs asks for more than one worker
+        src = str(Path(relu_bandits.__file__).resolve().parents[1])
+        code = (
+            "import sys, relu_bandits.cli; "
+            "sys.exit(any(m in sys.modules for m in ('concurrent.futures.process', 'multiprocessing')))"
+        )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from relu_bandits import (
 )
 from relu_bandits import estimation
 
-from oracles import empirical_sq_loss, exhaustive_match, fit_erm_reference, mp_alpha, mp_h, mp_t0, mp_zeta
+from oracles import (
+    empirical_sq_loss, exhaustive_match, fit_erm_reference, mp_alpha, mp_h, mp_sphere_area, mp_t0, mp_zeta,
+)
 
 
 def unit_rows(rng, k, d):
@@ -203,6 +206,44 @@ class TestFitErmMatchesPerRestartLoop:
         np.testing.assert_allclose(np.linalg.norm(est.weights, axis=1), 1.0, atol=1e-12)
 
 
+class TestProjectedStepStop:
+    """A restart freezes once its projected step would move its rows by at most step_size * tol."""
+
+    @staticmethod
+    def noisy_data():
+        rng = np.random.default_rng(1)
+        truth = ReluNetwork(unit_rows(rng, 3, 2))
+        X = unit_rows(rng, 70, 2)
+        return X, eval_f_batch(truth, X) + 0.1 * rng.standard_normal(70)
+
+    def test_noisy_fit_stops_before_max_iters(self):
+        # every restart froze within 500 of the 600 steps, so stopping there or
+        # running on to 5000 returns the same bits
+        X, y = self.noisy_data()
+        est = fit_erm(X, y, 3, FitConfig()).weights
+        for max_iters in (500, 5000):
+            assert np.array_equal(fit_erm(X, y, 3, FitConfig(max_iters=max_iters)).weights, est)
+
+    def test_agrees_with_fit_that_never_freezes(self):
+        # at tol=1e-300 no restart freezes and each runs all 600 steps
+        X, y = self.noisy_data()
+        est = fit_erm(X, y, 3, FitConfig())
+        full = fit_erm(X, y, 3, FitConfig(tol=1e-300))
+        assert not np.array_equal(est.weights, full.weights)
+        assert match_neurons(est, full).max_error <= 1e-7
+
+    def test_radial_step_that_flips_the_row_is_taken(self):
+        # the only sample is the restart's initial row w0 with label -2: the
+        # gradient 6 w0 is radial (its tangential part is 0) and the step of
+        # 0.2 * 6 > 1 lands on -0.2 w0, which projects to -w0, where the
+        # gradient vanishes
+        w0 = np.random.default_rng(7).normal(size=(1, 2))
+        w0 /= np.linalg.norm(w0)
+        est = fit_erm(w0, [-2.0], 1, FitConfig(restarts=1, seed=7)).weights
+        np.testing.assert_allclose(est, -w0, atol=1e-12)
+        assert np.array_equal(est, fit_erm_reference(w0, np.array([-2.0]), 1, 1, 600, 0.2, 1e-9, 7))
+
+
 class TestMatchNeurons:
     def test_permuted_and_flipped(self):
         est = ReluNetwork(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -313,6 +354,16 @@ class TestHBound:
     def test_d2_unsupported(self):
         with pytest.raises(UnsupportedDimensionError):
             h_bound(0.0, 0.01, 1, 2)
+
+    def test_sphere_area_against_oracle(self):
+        # every n up to 1000 whose area is a normal float (n up to about 430)
+        checked = 0
+        for n in range(1, 1001):
+            want = mp_sphere_area(n - 1)
+            if want >= sys.float_info.min:
+                assert estimation._sphere_area(n - 1) == pytest.approx(want, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked > 400
 
     def test_increasing_in_eta(self):
         lo = h_bound(0.0, 0.001, 1, 3)
