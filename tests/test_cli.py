@@ -487,22 +487,21 @@ class TestEstimate:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def cli_import_loads(*modules):
+        """Whether importing the CLI in a fresh interpreter loads any of modules."""
+        src = str(Path(relu_bandits.__file__).resolve().parents[1])
+        code = f"import sys, relu_bandits.cli; sys.exit(any(m in sys.modules for m in {modules!r}))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy is imported inside match_neurons only, which keeps CLI start-up short
-        src = str(Path(relu_bandits.__file__).resolve().parents[1])
-        code = "import sys, relu_bandits.cli; sys.exit('scipy' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert not self.cli_import_loads("scipy")
 
     def test_import_leaves_multiprocessing_unloaded(self):
         # the process pool is imported only when --jobs asks for more than one worker
-        src = str(Path(relu_bandits.__file__).resolve().parents[1])
-        code = (
-            "import sys, relu_bandits.cli; "
-            "sys.exit(any(m in sys.modules for m in ('concurrent.futures.process', 'multiprocessing')))"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert not self.cli_import_loads("concurrent.futures.process", "multiprocessing")
 
     def test_no_subcommand_exit2(self, capsys):
         assert main([]) == 2
