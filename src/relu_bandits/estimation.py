@@ -110,33 +110,24 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
     A restart freezes at its pre-step rows once its projected step, redraws
     included, would move them by at most ``cfg.step_size * cfg.tol``
     (Frobenius norm): the gradient mapping, which unlike the raw gradient
-    vanishes at a minimum on the sphere.  A restart is discarded once its
-    loss goes non-finite; that test is skipped when the labels bound every
-    loss, since unit rows keep each residual within k + max|y|.  Otherwise
-    each restart does the arithmetic of a lone descent, so the result equals
-    running them one after another.  The earliest restart with the smallest
-    finite final loss (``np.mean``) wins.  Raises FitError if every restart
-    is discarded.
+    vanishes at a minimum on the sphere.  Otherwise each restart does the
+    arithmetic of a lone descent, so the result equals running them one after
+    another.  The earliest restart with the smallest finite final loss
+    (``np.mean``) wins.  Raises FitError if a label is not finite, which
+    makes every loss non-finite, or if every final loss is non-finite.
     """
     if k < 1:
         raise ValueError("k must be positive")
     X, y = _as_data(X, y)
+    if not np.isfinite(y).all():
+        raise FitError("labels must be finite")
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
     W = np.stack([_unit_rows(rng, k, d) for _ in range(cfg.restarts)])
-    finite = np.ones(cfg.restarts, dtype=bool)  # cleared when a restart's loss goes non-finite
-    check_loss = not k + np.abs(y).max() < math.sqrt(1e300 / n)  # n (k + max|y|)^2 < 1e300 cannot overflow
     live, w = np.arange(cfg.restarts), W.copy()  # the restarts still descending, and their rows
     for _ in range(cfg.max_iters):
         p = w @ X.T  # (L, k, n); the stacked matmul makes each restart's own BLAS call
         resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
-        if check_loss:
-            bad = ~np.isfinite((resid * resid).sum(axis=1))  # the sum np.mean takes: finite just when the loss is
-            if bad.any():
-                finite[live[bad]] = False
-                live, w, p, resid = live[~bad], w[~bad], p[~bad], resid[~bad]
-                if not live.size:
-                    break
         grad = (2.0 / n) * (((p > 0.0) * resid[:, None, :]) @ X)  # (L, k, d)
         step = w - cfg.step_size * grad
         norms = np.sqrt((step * step).sum(axis=2, keepdims=True))  # what np.linalg.norm computes
@@ -157,7 +148,7 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
     p = W @ X.T
     resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
     loss = np.mean(resid * resid, axis=1)
-    loss[~(finite & np.isfinite(loss))] = np.inf
+    loss[~np.isfinite(loss)] = np.inf
     if np.isinf(loss).all():
         raise FitError("all restarts produced non-finite losses")
     return ReluNetwork(W[int(np.argmin(loss))])
@@ -216,14 +207,14 @@ def alpha_bound(zeta: float, p: BoundParams) -> float:
     return 727.0 * math.pi ** (-0.25) * p.k * p.d**0.25 * (2.0 * zeta) ** 0.25
 
 
-def _sphere_area(n_minus_1: int) -> float:
-    """Surface area |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2).
+def _log_sphere_area(n_minus_1: int) -> float:
+    """log |S^(n-1)| = log(2 pi^(n/2) / Gamma(n/2)).
 
-    Taken in log space: pi^(n/2) and Gamma(n/2) overflow from n of about 340,
-    while the area itself only shrinks toward 0.
+    pi^(n/2) and Gamma(n/2) overflow from n of about 340, and the area itself
+    underflows from n of about 430; its logarithm stays moderate.
     """
     n = n_minus_1 + 1
-    return math.exp(math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0))
+    return math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0)
 
 
 def h_bound(eta: float, eps: float, k: int, d: int) -> float:
@@ -235,6 +226,8 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
     Only d >= 3 is supported: |S^(d-3)| has no Gamma-convention meaning at
     d = 2.  A nonpositive denominator means the bound is vacuous at these
     inputs (eps too large or eta too close to the leading term) and raises.
+    Numerator and denominator are divided through by |S^(d-2)|, so neither
+    the value nor the sign depends on an area that underflows at large d.
     """
     if d < 3:
         raise UnsupportedDimensionError(f"h is defined for d >= 3 only, got d={d}")
@@ -244,12 +237,14 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
         raise ValueError("eps must be positive")
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    area_low = _sphere_area(d - 3)
-    area_high = _sphere_area(d - 2)
-    num = k * eps**3 * area_low / 2.0
-    den = eps**2 * (1.0 - d * eps**2 / 2.0) * area_high / 8.0 - eta - 6.0 * k * d * eps**3 * area_high
+    log_high = _log_sphere_area(d - 2)
+    num = k * eps**3 * math.exp(_log_sphere_area(d - 3) - log_high) / 2.0
+    den = eps**2 * (1.0 - d * eps**2 / 2.0) / 8.0 - 6.0 * k * d * eps**3
+    if eta > 0.0 and den > 0.0:
+        share = math.log(eta) - log_high  # log(eta / |S^(d-2)|), which overflows where the area underflows
+        den = den - math.exp(share) if share < math.log(den) else 0.0
     if den <= 0.0:
-        raise BoundVacuousError(f"denominator {den:.6e} is nonpositive; the bound is vacuous here")
+        raise BoundVacuousError(f"the denominator is nonpositive at eta={eta:g}, eps={eps:g}; the bound is vacuous here")
     return num / den
 
 

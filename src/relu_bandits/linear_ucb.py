@@ -81,7 +81,7 @@ def ridge_update(state: LinearUcbState, x, y: float) -> None:
     part-updated; it is not usable afterwards.
     """
     a = _as_feature(x, state.dim)
-    state.gram += a[:, None] * a
+    state.gram += np.outer(a, a)
     state.moment += float(y) * a
     state.count += 1
     if state.count % REFACTOR_EVERY == 0:
@@ -92,12 +92,9 @@ def ridge_update(state: LinearUcbState, x, y: float) -> None:
     else:
         inv_a = state.gram_inv @ a
         denom = 1.0 + float(a @ inv_a)
-        gram_inv = inv_a[:, None] * inv_a
-        gram_inv /= denom
-        np.subtract(state.gram_inv, gram_inv, out=gram_inv)
+        gram_inv = state.gram_inv - np.outer(inv_a, inv_a) / denom
         state.logdet += math.log(denom)
-    np.add(gram_inv, gram_inv.T, out=state.gram_inv)  # keep symmetry against roundoff drift
-    state.gram_inv *= 0.5
+    state.gram_inv = 0.5 * (gram_inv + gram_inv.T)  # keep symmetry against roundoff drift
 
 
 def conf_radius(state: LinearUcbState, cfg: UcbConfig) -> float:

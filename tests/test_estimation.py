@@ -340,9 +340,12 @@ class TestAlphaBound:
 
 class TestHBound:
     def test_valid_grid_against_oracle(self):
-        for eps in (0.001, 0.002, 0.003):
-            got = h_bound(0.0, eps, 1, 3)
-            want = mp_h(0.0, eps, 1, 3)
+        # |S^(d-2)| is subnormal or 0.0 in floats from d of about 430
+        cases = [(0.0, eps, 3) for eps in (0.001, 0.002, 0.003)]
+        cases += [(0.0, 1e-6, d) for d in (300, 500, 700, 2000)] + [(1e-290, 1e-6, 400)]
+        for eta, eps, d in cases:
+            got = h_bound(eta, eps, 1, d)
+            want = mp_h(eta, eps, 1, d)
             assert want is not None
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -361,7 +364,7 @@ class TestHBound:
         for n in range(1, 1001):
             want = mp_sphere_area(n - 1)
             if want >= sys.float_info.min:
-                assert estimation._sphere_area(n - 1) == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert math.exp(estimation._log_sphere_area(n - 1)) == pytest.approx(want, rel=1e-12, abs=0.0)
                 checked += 1
         assert checked > 400
 
@@ -376,10 +379,11 @@ class TestHBound:
             h_bound(1.0, 0.001, 1, 3)
 
     def test_vacuous_agrees_with_oracle(self):
-        # at this point the high-precision denominator is already negative
-        assert mp_h(0.0, 0.01, 1, 3) is None
-        with pytest.raises(BoundVacuousError):
-            h_bound(0.0, 0.01, 1, 3)
+        # at these points the high-precision denominator is already negative
+        for eta, eps, d in ((0.0, 0.01, 3), (1e-250, 1e-6, 400), (1e-320, 1e-6, 500)):
+            assert mp_h(eta, eps, 1, d) is None
+            with pytest.raises(BoundVacuousError):
+                h_bound(eta, eps, 1, d)
 
 
 class TestT0Schedule:
