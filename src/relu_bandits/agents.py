@@ -251,9 +251,11 @@ class OfuReluAgent(_SequentialAgent):
     the state always equals that replay under the current estimate.
 
     Until the first refit the agent keeps exploring, counted in
-    ``forced_exploration_rounds``.  A UCB round keeps the arms with margin
-    nu_i/2 under the estimate; when that empties the offered set, the full
-    set is used and the round is counted in ``fallback_rounds``.
+    ``forced_exploration_rounds``.  A UCB round projects the offered arms on
+    the estimate once and keeps the arms with margin nu_i/2 in that
+    projection; when that empties the offered set, the full set is used and
+    the round is counted in ``fallback_rounds``.  The lift reads the same
+    projection, so the filter and the indicators cannot disagree.
     """
 
     def __init__(self, k: int, d: int, T: int, cfg: OfuReluConfig | OfuReluPlusConfig):
@@ -306,13 +308,15 @@ class OfuReluAgent(_SequentialAgent):
                 # no refit has run yet: keep exploring rather than select without a model
                 self.forced_exploration_rounds += 1
             return int(rng.integers(len(arms)))
-        mask = margin_mask(arms, self._estimate, self.grid.nus[i] / 2.0)
+        proj = arms @ self._estimate.weights.T  # one projection serves the filter and the lift
+        mask = margin_mask(proj, self.grid.nus[i] / 2.0)
         kept = None  # None: every arm, without copying them
         if not mask.any():
             self.fallback_rounds += 1
         elif not mask.all():
             kept = np.flatnonzero(mask)
-        feats = sign_robust_features_batch(arms if kept is None else arms[kept], self._estimate)
+            arms, proj = arms[kept], proj[kept]
+        feats = sign_robust_features_batch(arms, proj)
         j = ucb_select(self._ridge, self._cfg.ucb, feats)
         self._pending_features = feats[j]
         return j if kept is None else int(kept[j])
@@ -328,18 +332,22 @@ class OfuReluAgent(_SequentialAgent):
         # an exploration round
         self._explored[t - 1] = True
         if self._estimate is not None:
-            feats = sign_robust_features_batch(action[None, :], self._estimate)[0]
+            feats = self._lift(action[None, :])[0]
             ridge_update(self._ridge, feats, reward)
         i = self._batch_of(t)
         if t == self._explore_end[i] and self.grid.boundaries[i] < t:
             self._refit()
+
+    def _lift(self, rows: np.ndarray) -> np.ndarray:
+        """Sign-robust features of rows off the UCB path, which need no margin filter."""
+        return sign_robust_features_batch(rows, rows @ self._estimate.weights.T)
 
     def _refit(self):
         X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
         self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
         self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start
-        for row, reward in zip(sign_robust_features_batch(X[start:], self._estimate), y[start:]):
+        for row, reward in zip(self._lift(X[start:]), y[start:]):
             ridge_update(self._ridge, row, reward)
 
 

@@ -229,40 +229,35 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
     return ExperimentConfig(**{**p, "algorithms": tuple(algos)}, echo=p)
 
 
-def _instance_for_trial(cfg: ExperimentConfig, trial: int):
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0)))
-    inst = gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, rng)
-    return replace(inst, seed=trial)  # tag with the trial index for traceability
+def _run_trial_task(args: tuple[ExperimentConfig, int]) -> list[TrialTrace]:
+    """One trial: draw its instance once, then run every algorithm on it."""
+    cfg, trial = args
 
+    def stream(tag: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, tag)))
 
-def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[int, int, TrialTrace]:
-    cfg, algo_idx, trial = args
-    inst = _instance_for_trial(cfg, trial)
-    env_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 1)))
-    trace = run_trial(inst, cfg.algorithms[algo_idx], cfg.T, cfg.arms_per_round, env_rng, trial_seed=trial)
-    return algo_idx, trial, trace
+    inst = replace(gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, stream(0)), seed=trial)  # tag for traceability
+    # a fresh environment stream per algorithm: run_trial spawns from it, so sharing one would change the numbers
+    return [run_trial(inst, a, cfg.T, cfg.arms_per_round, stream(1), trial_seed=trial) for a in cfg.algorithms]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialTrace], list[AggregateResult]]:
-    """Run every (algorithm, trial) cell; results are independent of jobs.
+    """Run every algorithm on every trial, one task per trial; results are independent of jobs.
 
     The same trial index gives the same instance, arm sets and noise stream
     to every algorithm (common random numbers), so curves are directly
-    comparable.
+    comparable.  At jobs above 1, a pool of at most one process per trial maps over them.
     """
-    cells = [(cfg, a, t) for a in range(len(cfg.algorithms)) for t in range(cfg.trials)]
+    tasks = [(cfg, t) for t in range(cfg.trials)]
     if jobs <= 1:
-        results = [_run_cell(c) for c in cells]
+        per_trial = [_run_trial_task(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # deferred: multiprocessing is slow to import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells))
-    results.sort(key=lambda r: (r[0], r[1]))
-    traces = [tr for _, _, tr in results]
-    n = cfg.trials
-    aggs = [aggregate(traces[a * n : (a + 1) * n]) for a in range(len(cfg.algorithms))]
-    return traces, aggs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            per_trial = list(pool.map(_run_trial_task, tasks))
+    by_algo = [[row[a] for row in per_trial] for a in range(len(cfg.algorithms))]
+    return [tr for traces in by_algo for tr in traces], [aggregate(traces) for traces in by_algo]
 
 
 def _load_json(path: str) -> dict:

@@ -20,7 +20,9 @@ reproduces f exactly on the arms that ``margin_mask`` keeps at margin nu/2,
 provided each neuron is matched within nu/2.
 
 An action is a unit-norm row of d floats and an arm set is an (m, d) array of
-them.  The maps here trust that format; callers validate data where it enters
+them.  ``margin_mask`` and the lift take its (m, k) projection on the
+estimate, ``actions @ est.weights.T``, which the caller computes once for both.
+The maps here trust that format; callers validate data where it enters
 (``_as_unit_rows``).  All types are immutable after construction and all
 operations are pure, so they are safe to use from concurrently running trials.
 """
@@ -97,19 +99,20 @@ def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:
     return _row_sum(p)
 
 
-def sign_robust_features_batch(actions: np.ndarray, est: ReluNetwork) -> np.ndarray:
+def sign_robust_features_batch(actions: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """Sign-robust lift of the rows of (m, d) actions: (m, 2kd) features.
 
+    ``proj`` is the (m, k) projection ``actions @ est.weights.T`` on the estimate.
     Block i of a row is 1{we_i . x >= 0} * x (the indicator-frozen features);
     block k+i is (1/2 - 1{we_i . x >= 0}) * x, the handle through which a
     sign-corrected parameter can undo an estimated neuron that matched the
     negated truth.
     """
-    if actions.ndim != 2 or actions.shape[1] != est.d:
-        raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {est.d})")
-    (m, d), k = actions.shape, est.k
+    if actions.ndim != 2 or proj.ndim != 2 or proj.shape[0] != actions.shape[0]:
+        raise DimensionMismatchError(f"actions {actions.shape} and projection {proj.shape} do not pair up")
+    (m, d), k = actions.shape, proj.shape[1]
     coef = np.empty((m, 2 * k))  # [ind, 1/2 - ind]
-    np.greater_equal(actions @ est.weights.T, 0.0, out=coef[:, :k])
+    np.greater_equal(proj, 0.0, out=coef[:, :k])
     np.subtract(0.5, coef[:, :k], out=coef[:, k:])
     out = np.empty((m, 2 * k, d))
     for j in range(d):  # column by column, each entry one product
@@ -117,13 +120,15 @@ def sign_robust_features_batch(actions: np.ndarray, est: ReluNetwork) -> np.ndar
     return out.reshape(m, 2 * k * d)
 
 
-def margin_mask(actions: np.ndarray, est: ReluNetwork, nu: float) -> np.ndarray:
-    """Boolean mask of actions with |we_i . x| >= nu for every neuron i."""
-    if actions.ndim != 2 or actions.shape[1] != est.d:
-        raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {est.d})")
-    p = np.abs(actions @ est.weights.T)
+def margin_mask(proj: np.ndarray, nu: float) -> np.ndarray:
+    """Boolean mask of the rows of proj = actions @ est.weights.T with |we_i . x| >= nu for every i."""
+    if proj.ndim != 2:
+        raise DimensionMismatchError(f"projection must be a 2-D (m, k) array, got shape {proj.shape}")
+    if nu <= 0.0:  # |p| >= 0 holds for every finite p: keep every row without scanning
+        return np.ones(proj.shape[0], dtype=bool)
+    p = np.abs(proj)
     mask = p[:, 0] >= nu
-    for i in range(1, est.k):
+    for i in range(1, p.shape[1]):
         mask &= p[:, i] >= nu
     return mask
 

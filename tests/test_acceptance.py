@@ -156,14 +156,14 @@ class TestCriterion3LinearizationIdentity:
             kept = np.empty((0, d))
             for _ in range(50):
                 arms = sample_arms(200, d, rng)
-                kept = arms[margin_mask(arms, est, nu / 2.0)]
+                kept = arms[margin_mask(arms @ est.weights.T, nu / 2.0)]
                 if len(kept):
                     break
             if not len(kept):
                 continue
             theta = sign_corrected_parameter(truth, est, nu)
             resid = np.abs(
-                sign_robust_features_batch(kept, est) @ theta - eval_f_batch(truth, kept)
+                sign_robust_features_batch(kept, kept @ est.weights.T) @ theta - eval_f_batch(truth, kept)
             ).max(initial=0.0)
             worst = max(worst, float(resid))
             arms_checked += len(kept)
@@ -348,7 +348,7 @@ class TestCriterion9PlusStructure:
             replay = LinearUcbState(4, ucb.lam)
             X, rewards = agent.history()
             for x, reward in zip(X, rewards):
-                feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
+                feat = sign_robust_features_batch(x[None, :], x[None, :] @ agent.estimate.weights.T)[0]
                 ridge_update(replay, feat, reward)
             dev = max(
                 float(np.abs(agent.ridge.gram - replay.gram).max()),
@@ -371,31 +371,32 @@ class TestCriterion9PlusStructure:
 
 
 class TestCriterion10Determinism:
-    def test_jobs_invariant_bytes(self, tmp_path, capsys):
-        config = {
-            "k": 2,
-            "d": 2,
-            "T": 40,
-            "trials": 3,
-            "arms_per_round": 12,
-            "sigma": 0.1,
-            "alpha0": 0.2,
-            "seed": 11,
-            "algorithms": [
-                {"name": "random"},
-                {"name": "oful"},
-                {"name": "ofu_relu", "t0": 6},
-                {"name": "ofu_relu_plus", "T1": 8, "practical_override": [4, 2, 2]},
-            ],
-        }
+    CONFIG = {
+        "k": 2,
+        "d": 2,
+        "T": 40,
+        "trials": 3,
+        "arms_per_round": 12,
+        "sigma": 0.1,
+        "alpha0": 0.2,
+        "seed": 11,
+        "algorithms": [
+            {"name": "random"},
+            {"name": "oful"},
+            {"name": "ofu_relu", "t0": 6},
+            {"name": "ofu_relu_plus", "T1": 8, "practical_override": [4, 2, 2]},
+        ],
+    }
+
+    def check_jobs_invariant(self, tmp_path, capsys, config, jobs):
         cfg_path = tmp_path / "determinism.json"
         cfg_path.write_text(json.dumps(config))
         outs = []
-        for jobs, sub in ((1, "a"), (2, "b")):
+        for n, sub in ((1, "a"), (jobs, "b")):
             out = tmp_path / sub
             proc = subprocess.run(
                 [sys.executable, "-m", "relu_bandits.cli", "simulate",
-                 "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)],
+                 "--config", str(cfg_path), "--out", str(out), "--jobs", str(n)],
                 capture_output=True,
                 text=True,
                 timeout=600,
@@ -410,10 +411,17 @@ class TestCriterion10Determinism:
         report(
             capsys, 10,
             ok,
-            "byte-identical across --jobs 1 vs --jobs 2: "
+            f"{config['trials']} trials, byte-identical across --jobs 1 vs --jobs {jobs}: "
             + ", ".join(f"{k}={v}" for k, v in same.items())
             + " (summary.json excluded: echoes the output path)",
         )
+
+    def test_jobs_invariant_bytes(self, tmp_path, capsys):
+        self.check_jobs_invariant(tmp_path, capsys, self.CONFIG, 2)
+
+    def test_more_workers_than_trials(self, tmp_path, capsys):
+        # the pool maps over trials and starts no more workers than there are trials
+        self.check_jobs_invariant(tmp_path, capsys, dict(self.CONFIG, trials=2), 3)
 
 
 @pytest.mark.slow

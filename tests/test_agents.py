@@ -244,9 +244,9 @@ class TestOfuReluAgent:
             idx = agent.select_arm(arms, agent_rng)
             fvals = eval_f_batch(truth, arms)
             if t > 1:
-                kept = margin_mask(arms, truth, 0.0)
+                kept = margin_mask(arms @ truth.weights.T, 0.0)
                 best = fvals[kept].max()
-                feat = sign_robust_features_batch(arms[idx : idx + 1], truth)[0]
+                feat = sign_robust_features_batch(arms[idx : idx + 1], arms[idx : idx + 1] @ truth.weights.T)[0]
                 beta = conf_radius(state, ucb)
                 width = math.sqrt(float(feat @ state.gram_inv @ feat))
                 assert best - fvals[idx] <= 2.0 * beta * width + 1e-9
@@ -282,9 +282,39 @@ class TestOfuReluSelectMatchesReference:
         agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
         a = run_trial(inst, None, 60, 200, np.random.default_rng(22), agent=agent, fixed_arms=arms)
         b = run_trial(inst, None, 60, 200, np.random.default_rng(22), agent=ref, fixed_arms=arms)
-        mask = margin_mask(arms, agent.estimate, nu / 2.0)
+        mask = margin_mask(arms @ agent.estimate.weights.T, nu / 2.0)
         assert kept == ("all" if mask.all() else "none" if not mask.any() else "some")
         assert agent.fallback_rounds == ref.fallback_rounds == (50 if kept == "none" else 0)
+        np.testing.assert_array_equal(a.chosen, b.chosen)
+        np.testing.assert_array_equal(a.rewards, b.rewards)
+        for name in ("gram", "moment", "gram_inv"):
+            np.testing.assert_array_equal(getattr(agent.ridge, name), getattr(ref.ridge, name))
+        assert (agent.ridge.logdet, agent.ridge.count) == (ref.ridge.logdet, ref.ridge.count)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.6, 2.5])
+    def test_same_picks_and_ridge_at_the_margin_and_the_kink(self, nu, monkeypatch):
+        # the estimate is pinned so that row 0 projects on neuron 0 at exactly
+        # nu/2 and rows 1-3 sit at a kink (p = 0.0, or -0.0 where the BLAS
+        # sums it so), where the filter's comparison and the lift's indicator
+        # are decided by a tie
+        w = np.array([[1.0, 0.0], [0.0, 1.0], [math.sqrt(0.5), math.sqrt(0.5)]])
+        est = ReluNetwork(w)
+        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg: est)
+        edge = min(nu / 2.0, 0.5)
+        special = np.array([[edge, math.sqrt(1.0 - edge * edge)], [0.0, 1.0], [-0.0, -1.0], [1.0, 0.0]])
+        arms = np.concatenate([special, sample_arms(8, 2, np.random.default_rng(23))])
+        proj = arms @ w.T
+        assert proj[0, 0] == edge and (proj[1:3, 0] == 0.0).all() and proj[3, 1] == 0.0
+        inst = Instance(truth=est, sigma=0.1, alpha0=0.0)
+        cfg = OfuReluConfig(t0=10, ucb=UCB, fit=FIT, nu=nu)
+        agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
+        a = run_trial(inst, None, 60, len(arms), np.random.default_rng(24), agent=agent, fixed_arms=arms)
+        b = run_trial(inst, None, 60, len(arms), np.random.default_rng(24), agent=ref, fixed_arms=arms)
+        mask = margin_mask(proj, nu / 2.0)
+        assert mask[0] == (nu <= 1.0)  # the row at exactly nu/2 is kept, with |p| >= nu/2 on every neuron
+        assert mask[1:4].all() == (nu == 0.0)  # the kink rows pass only the empty filter
+        assert np.isin(a.chosen[10:], [0, 1, 2, 3]).any()  # the tied rows are picked, not only offered
+        assert agent.fallback_rounds == ref.fallback_rounds == (50 if nu > 2.0 else 0)
         np.testing.assert_array_equal(a.chosen, b.chosen)
         np.testing.assert_array_equal(a.rewards, b.rewards)
         for name in ("gram", "moment", "gram_inv"):
@@ -369,7 +399,7 @@ class TestOfuReluPlusAgent:
         X, y = agent.history()
         assert agent.ridge.count == 60 - start
         for x, reward in zip(X[start:], y[start:]):
-            feat = sign_robust_features_batch(x[None, :], agent.estimate)[0]
+            feat = sign_robust_features_batch(x[None, :], x[None, :] @ agent.estimate.weights.T)[0]
             ridge_update(state, feat, reward)
         np.testing.assert_allclose(agent.ridge.gram, state.gram, atol=1e-8)
         np.testing.assert_allclose(agent.ridge.moment, state.moment, atol=1e-8)

@@ -18,7 +18,8 @@ from relu_bandits import (
     t0_schedule,
     zeta_bound,
 )
-from relu_bandits.cli import main, parse_experiment_config
+from relu_bandits import cli
+from relu_bandits.cli import main, parse_experiment_config, run_experiment
 
 from oracles import mp_h
 
@@ -313,6 +314,18 @@ class TestSimulate:
         capsys.readouterr()
         assert outs[0] != outs[1]
 
+    def test_one_instance_per_trial(self, monkeypatch):
+        drawn = []
+        gen_instance = cli.gen_instance
+        monkeypatch.setattr(cli, "gen_instance", lambda *a: drawn.append(a) or gen_instance(*a))
+        cfg = parse_experiment_config(dict(TINY, T=12, algorithms=TINY["algorithms"][:3]))
+        traces, aggs = run_experiment(cfg, jobs=1)
+        assert len(drawn) == 2  # 3 algorithms x 2 trials, one draw per trial
+        assert [(tr.algorithm, tr.seed) for tr in traces] == [
+            (a, t) for a in ("random", "oful", "ofu_relu") for t in (0, 1)
+        ]
+        assert [agg.algorithm for agg in aggs] == ["random", "oful", "ofu_relu"]
+
     def test_unknown_top_key_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, typo_key=1))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -502,6 +515,10 @@ class TestEntryPoint:
     def test_import_leaves_multiprocessing_unloaded(self):
         # the process pool is imported only when --jobs asks for more than one worker
         assert not self.cli_import_loads("concurrent.futures.process", "multiprocessing")
+
+    def test_import_leaves_urllib_request_unloaded(self):
+        # the SVG legend escapes labels by hand; xml.sax.saxutils would load urllib.request
+        assert not self.cli_import_loads("xml.sax.saxutils", "urllib.request")
 
     def test_no_subcommand_exit2(self, capsys):
         assert main([]) == 2

@@ -133,7 +133,8 @@ class TestRidgeUpdate:
         est = ReluNetwork(w / np.linalg.norm(w, axis=1, keepdims=True))
         n, lam = 10_000, 0.01
         ang = rng.uniform(0.0, 2.0 * np.pi) + 0.05 * rng.standard_normal(n)
-        Phi = sign_robust_features_batch(np.stack([np.cos(ang), np.sin(ang)], axis=1), est)
+        X = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        Phi = sign_robust_features_batch(X, X @ est.weights.T)
         y = Phi @ rng.standard_normal(12) + 0.1 * rng.standard_normal(n)
         s = LinearUcbState(12, lam=lam)
         for i in range(n):

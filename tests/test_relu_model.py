@@ -34,7 +34,8 @@ def unit(v):
 
 def lift(x, est):
     """Sign-robust features of one action."""
-    return sign_robust_features_batch(np.asarray(x, dtype=float)[None, :], est)[0]
+    row = np.asarray(x, dtype=float)[None, :]
+    return sign_robust_features_batch(row, row @ est.weights.T)[0]
 
 
 def frozen(x, est):
@@ -192,12 +193,20 @@ class TestRestrictArms:
     def test_filters_by_margin(self):
         arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
         est = ReluNetwork(np.array([[1.0, 0.0]]))
-        np.testing.assert_array_equal(margin_mask(arms, est, 0.5), [True, False, True])
+        np.testing.assert_array_equal(margin_mask(arms @ est.weights.T, 0.5), [True, False, True])
 
     def test_nu_zero_is_identity(self):
         arms = np.array([[1.0, 0.0], [0.0, 1.0]])
         est = ReluNetwork(np.array([[1.0, 0.0]]))
-        assert margin_mask(arms, est, 0.0).all()
+        assert margin_mask(arms @ est.weights.T, 0.0).all()
+
+    def test_projection_must_pair_with_the_actions(self):
+        arms = np.array([[1.0, 0.0], [0.0, 1.0]])
+        est = ReluNetwork(np.array([[1.0, 0.0]]))
+        with pytest.raises(DimensionMismatchError):
+            sign_robust_features_batch(arms, arms[:1] @ est.weights.T)
+        with pytest.raises(DimensionMismatchError):
+            margin_mask((arms @ est.weights.T)[:, 0], 0.0)
 
 
 class TestGapOf:
@@ -264,8 +273,8 @@ class TestLinearizationIdentity:
             theta = sign_corrected_parameter(truth, est, nu)
             X = rng.standard_normal((300, d))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            kept = X[margin_mask(X, est, nu / 2.0)]
-            lhs = sign_robust_features_batch(kept, est) @ theta
+            kept = X[margin_mask(X @ est.weights.T, nu / 2.0)]
+            lhs = sign_robust_features_batch(kept, kept @ est.weights.T) @ theta
             np.testing.assert_allclose(lhs, eval_f_batch(truth, kept), atol=1e-9)
             checked += len(kept)
         assert checked > 1000
@@ -281,7 +290,7 @@ class TestLinearizationIdentity:
             est = ReluNetwork(pert / np.linalg.norm(pert, axis=1, keepdims=True))
             X = rng.standard_normal((200, d))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            mask = margin_mask(X, est, nu / 2.0)
+            mask = margin_mask(X @ est.weights.T, nu / 2.0)
             if not mask.any():
                 continue
             Xr = X[mask]
@@ -303,11 +312,11 @@ class TestLinearizationIdentity:
             est = ReluNetwork(pert / np.linalg.norm(pert, axis=1, keepdims=True))
             X = rng.standard_normal((200, d))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
-            mask = margin_mask(X, est, nu / 2.0)
+            mask = margin_mask(X @ est.weights.T, nu / 2.0)
             if not mask.any():
                 continue
             kept = X[mask][:20]
-            lhs = sign_robust_features_batch(kept, est)[:, : k * d] @ truth.weights.reshape(-1)
+            lhs = sign_robust_features_batch(kept, kept @ est.weights.T)[:, : k * d] @ truth.weights.reshape(-1)
             np.testing.assert_allclose(lhs, eval_f_batch(truth, kept), rtol=0, atol=1e-9)
 
 
@@ -377,10 +386,10 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("k", KERNEL_KS)
     def test_sign_robust_features_batch(self, k):
         for net, x in kernel_cases(k):
-            got = sign_robust_features_batch(x, net)
+            got = sign_robust_features_batch(x, x @ net.weights.T)
             assert_same_bits(got, sign_robust_features_reference(x, net.weights))
         net, x = kernel_case(np.random.default_rng(k), k, 3, 6, orthant=False)
-        at_kink = sign_robust_features_batch(x[1:2], net)[0]  # neuron 0 scores exactly 0: active
+        at_kink = sign_robust_features_batch(x[1:2], x[1:2] @ net.weights.T)[0]  # neuron 0 scores exactly 0: active
         np.testing.assert_array_equal(at_kink[:3], x[1])
         np.testing.assert_array_equal(at_kink[3 * k : 3 * k + 3], -0.5 * x[1])
 
@@ -390,7 +399,7 @@ class TestKernelsMatchReference:
         for net, x in kernel_cases(k):
             proj = np.abs(x @ net.weights.T).min(axis=1)
             for nu in (0.0, float(np.median(proj)), float(proj.max()), 1.5):
-                got = margin_mask(x, net, nu)
+                got = margin_mask(x @ net.weights.T, nu)
                 np.testing.assert_array_equal(got, margin_mask_reference(x, net.weights, nu))
                 seen.add("all" if got.all() else "none" if not got.any() else "some")
         assert seen == {"all", "some", "none"}

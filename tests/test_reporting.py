@@ -1,5 +1,6 @@
 import csv
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -101,6 +102,14 @@ class TestEmitSvg:
         emit_svg(agg_pair(), p)
         text = p.read_text()
         assert ">a</text>" in text and ">b</text>" in text
+
+    def test_markup_in_a_label_is_escaped(self, tmp_path):
+        label = "oful λ<0.1 & S"
+        p = tmp_path / "plot.svg"
+        emit_svg([agg_pair()[0], aggregate([trace(label, 0), trace(label, 1)])], p)
+        root = ET.parse(p).getroot()  # a raw '<' or '&' would not parse
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-2:] == ["a", label]
 
     def test_byte_identical_reemission(self, tmp_path):
         aggs = agg_pair()
