@@ -30,7 +30,7 @@ from .estimation import (
     t0_schedule,
     zeta_bound,
 )
-from .harness import AggregateResult, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
+from .harness import AggregateResult, Instance, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import eval_f_batch
 from .reporting import emit_svg, export_csv, write_summary
@@ -229,35 +229,37 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
     return ExperimentConfig(**{**p, "algorithms": tuple(algos)}, echo=p)
 
 
-def _run_trial_task(args: tuple[ExperimentConfig, int]) -> list[TrialTrace]:
-    """One trial: draw its instance once, then run every algorithm on it."""
-    cfg, trial = args
+def _instance_for_trial(cfg: ExperimentConfig, trial: int) -> Instance:
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0)))
+    inst = gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, rng)
+    return replace(inst, seed=trial)  # tag with the trial index for traceability
 
-    def stream(tag: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, tag)))
 
-    inst = replace(gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, stream(0)), seed=trial)  # tag for traceability
-    # a fresh environment stream per algorithm: run_trial spawns from it, so sharing one would change the numbers
-    return [run_trial(inst, a, cfg.T, cfg.arms_per_round, stream(1), trial_seed=trial) for a in cfg.algorithms]
+def _run_cell(args: tuple[ExperimentConfig, int, int, Instance]) -> TrialTrace:
+    cfg, algo_idx, trial, inst = args
+    env_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 1)))
+    return run_trial(inst, cfg.algorithms[algo_idx], cfg.T, cfg.arms_per_round, env_rng, trial_seed=trial)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialTrace], list[AggregateResult]]:
-    """Run every algorithm on every trial, one task per trial; results are independent of jobs.
+    """Run every (algorithm, trial) cell; results are independent of jobs.
 
     The same trial index gives the same instance, arm sets and noise stream
     to every algorithm (common random numbers), so curves are directly
-    comparable.  At jobs above 1, a pool of at most one process per trial maps over them.
+    comparable.  Each trial's instance is drawn once, here, and handed to
+    every cell of that trial.
     """
-    tasks = [(cfg, t) for t in range(cfg.trials)]
+    insts = [_instance_for_trial(cfg, t) for t in range(cfg.trials)]
+    cells = [(cfg, a, t, insts[t]) for a in range(len(cfg.algorithms)) for t in range(cfg.trials)]
     if jobs <= 1:
-        per_trial = [_run_trial_task(task) for task in tasks]
+        traces = [_run_cell(c) for c in cells]
     else:
         from concurrent.futures import ProcessPoolExecutor  # deferred: multiprocessing is slow to import
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_trial = list(pool.map(_run_trial_task, tasks))
-    by_algo = [[row[a] for row in per_trial] for a in range(len(cfg.algorithms))]
-    return [tr for traces in by_algo for tr in traces], [aggregate(traces) for traces in by_algo]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            traces = list(pool.map(_run_cell, cells))  # in cell order
+    n = cfg.trials
+    return traces, [aggregate(traces[a * n : (a + 1) * n]) for a in range(len(cfg.algorithms))]
 
 
 def _load_json(path: str) -> dict:

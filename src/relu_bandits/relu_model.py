@@ -124,8 +124,6 @@ def margin_mask(proj: np.ndarray, nu: float) -> np.ndarray:
     """Boolean mask of the rows of proj = actions @ est.weights.T with |we_i . x| >= nu for every i."""
     if proj.ndim != 2:
         raise DimensionMismatchError(f"projection must be a 2-D (m, k) array, got shape {proj.shape}")
-    if nu <= 0.0:  # |p| >= 0 holds for every finite p: keep every row without scanning
-        return np.ones(proj.shape[0], dtype=bool)
     p = np.abs(proj)
     mask = p[:, 0] >= nu
     for i in range(1, p.shape[1]):

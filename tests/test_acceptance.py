@@ -371,32 +371,31 @@ class TestCriterion9PlusStructure:
 
 
 class TestCriterion10Determinism:
-    CONFIG = {
-        "k": 2,
-        "d": 2,
-        "T": 40,
-        "trials": 3,
-        "arms_per_round": 12,
-        "sigma": 0.1,
-        "alpha0": 0.2,
-        "seed": 11,
-        "algorithms": [
-            {"name": "random"},
-            {"name": "oful"},
-            {"name": "ofu_relu", "t0": 6},
-            {"name": "ofu_relu_plus", "T1": 8, "practical_override": [4, 2, 2]},
-        ],
-    }
-
-    def check_jobs_invariant(self, tmp_path, capsys, config, jobs):
+    def test_jobs_invariant_bytes(self, tmp_path, capsys):
+        config = {
+            "k": 2,
+            "d": 2,
+            "T": 40,
+            "trials": 3,
+            "arms_per_round": 12,
+            "sigma": 0.1,
+            "alpha0": 0.2,
+            "seed": 11,
+            "algorithms": [
+                {"name": "random"},
+                {"name": "oful"},
+                {"name": "ofu_relu", "t0": 6},
+                {"name": "ofu_relu_plus", "T1": 8, "practical_override": [4, 2, 2]},
+            ],
+        }
         cfg_path = tmp_path / "determinism.json"
         cfg_path.write_text(json.dumps(config))
         outs = []
-        for n, sub in ((1, "a"), (jobs, "b")):
+        for jobs, sub in ((1, "a"), (2, "b")):
             out = tmp_path / sub
             proc = subprocess.run(
                 [sys.executable, "-m", "relu_bandits.cli", "simulate",
-                 "--config", str(cfg_path), "--out", str(out), "--jobs", str(n)],
+                 "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)],
                 capture_output=True,
                 text=True,
                 timeout=600,
@@ -411,17 +410,10 @@ class TestCriterion10Determinism:
         report(
             capsys, 10,
             ok,
-            f"{config['trials']} trials, byte-identical across --jobs 1 vs --jobs {jobs}: "
+            "byte-identical across --jobs 1 vs --jobs 2: "
             + ", ".join(f"{k}={v}" for k, v in same.items())
             + " (summary.json excluded: echoes the output path)",
         )
-
-    def test_jobs_invariant_bytes(self, tmp_path, capsys):
-        self.check_jobs_invariant(tmp_path, capsys, self.CONFIG, 2)
-
-    def test_more_workers_than_trials(self, tmp_path, capsys):
-        # the pool maps over trials and starts no more workers than there are trials
-        self.check_jobs_invariant(tmp_path, capsys, dict(self.CONFIG, trials=2), 3)
 
 
 @pytest.mark.slow
