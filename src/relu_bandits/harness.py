@@ -125,7 +125,8 @@ def sample_arms(m: int, d: int, rng) -> np.ndarray:
         bad = norms == 0.0
         raw[bad] = gen.standard_normal((int(bad.sum()), d))
         norms = np.sqrt(_row_sum(raw * raw))
-    raw /= norms[:, None]
+    for j in range(d):  # what raw /= norms[:, None] computes, without the broadcast
+        raw[:, j] /= norms
     return raw
 
 

@@ -81,7 +81,7 @@ def ridge_update(state: LinearUcbState, x, y: float) -> None:
     part-updated; it is not usable afterwards.
     """
     a = _as_feature(x, state.dim)
-    state.gram += np.outer(a, a)
+    state.gram += a[:, None] * a  # np.outer(a, a), without its wrapper
     state.moment += float(y) * a
     state.count += 1
     if state.count % REFACTOR_EVERY == 0:
@@ -92,7 +92,7 @@ def ridge_update(state: LinearUcbState, x, y: float) -> None:
     else:
         inv_a = state.gram_inv @ a
         denom = 1.0 + float(a @ inv_a)
-        gram_inv = state.gram_inv - np.outer(inv_a, inv_a) / denom
+        gram_inv = state.gram_inv - inv_a[:, None] * inv_a / denom
         state.logdet += math.log(denom)
     state.gram_inv = 0.5 * (gram_inv + gram_inv.T)  # keep symmetry against roundoff drift
 

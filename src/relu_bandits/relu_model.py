@@ -40,6 +40,9 @@ NORM_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
+# _row_sum at 8-15 columns: below this many rows numpy's own sum is faster (crossover 384-512 at 12 columns)
+_PAIRWISE_MIN_ROWS = 512
+
 
 def _as_unit_rows(values, name: str, d: int | None = None) -> np.ndarray:
     """Caller data as a nonempty, finite 2-D float array of unit rows (of width d if given)."""
@@ -79,14 +82,32 @@ class ReluNetwork:
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)`` bit for bit, without numpy's reduction overhead on narrow rows.
 
-    numpy adds fewer than 8 entries left to right from +0.0, which column adds
-    reproduce; from 8 on it sums pairwise, so defer to it there.
+    numpy adds fewer than 8 entries of a row left to right from +0.0, which
+    column adds reproduce.  From 8 to 15 entries it adds the first eight
+    pairwise, ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest left to right,
+    then adds the sum to its +0.0 start, and the column adds here do the same.
+    That order holds where rows are contiguous in memory; from 16 entries, and
+    on other layouts, defer to numpy.  Below ``_PAIRWISE_MIN_ROWS`` rows
+    numpy's one reduction beats the column adds, so defer there too.
     """
-    if a.shape[1] >= 8:
+    n = a.shape[1]
+    if n < 8:
+        out = a[:, 0] + 0.0  # a copy, and +0.0 turns a -0.0 start into numpy's +0.0
+        for j in range(1, n):
+            out += a[:, j]
+        return out
+    if n >= 16 or a.shape[0] < _PAIRWISE_MIN_ROWS or not a.flags.c_contiguous:
         return a.sum(axis=1)
-    out = a[:, 0] + 0.0  # a copy, and +0.0 turns a -0.0 start into numpy's +0.0
-    for j in range(1, a.shape[1]):
+    out = a[:, 0] + a[:, 1]
+    tmp = a[:, 2] + a[:, 3]
+    out += tmp
+    np.add(a[:, 4], a[:, 5], out=tmp)
+    tmp2 = a[:, 6] + a[:, 7]
+    tmp += tmp2
+    out += tmp
+    for j in range(8, n):
         out += a[:, j]
+    out += 0.0  # numpy's +0.0 start, added last: it only turns a -0.0 sum into +0.0
     return out
 
 
@@ -107,16 +128,20 @@ def sign_robust_features_batch(actions: np.ndarray, proj: np.ndarray) -> np.ndar
     block k+i is (1/2 - 1{we_i . x >= 0}) * x, the handle through which a
     sign-corrected parameter can undo an estimated neuron that matched the
     negated truth.
+
+    The 2k coefficients [ind, 1/2 - ind] are filled as one contiguous (2k, m)
+    array, then each column of the actions scales them: every entry is one
+    product, as in the broadcast form.
     """
     if actions.ndim != 2 or proj.ndim != 2 or proj.shape[0] != actions.shape[0]:
         raise DimensionMismatchError(f"actions {actions.shape} and projection {proj.shape} do not pair up")
     (m, d), k = actions.shape, proj.shape[1]
-    coef = np.empty((m, 2 * k))  # [ind, 1/2 - ind]
-    np.greater_equal(proj, 0.0, out=coef[:, :k])
-    np.subtract(0.5, coef[:, :k], out=coef[:, k:])
+    coef = np.empty((2 * k, m))
+    np.greater_equal(proj.T, 0.0, out=coef[:k])
+    np.subtract(0.5, coef[:k], out=coef[k:])
     out = np.empty((m, 2 * k, d))
-    for j in range(d):  # column by column, each entry one product
-        np.multiply(coef, actions[:, j, None], out=out[:, :, j])
+    for j in range(d):
+        np.multiply(coef.T, actions[:, j, None], out=out[:, :, j])
     return out.reshape(m, 2 * k * d)
 
 

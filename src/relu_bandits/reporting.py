@@ -8,8 +8,8 @@ timestamps), so artifacts can be diffed across runs and job counts.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +22,11 @@ AGG_HEADER = ["algorithm", "t", "mean_cum_regret", "ci_half"]
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _fmt(v: float) -> str:
-    return "%.12g" % float(v)
+def _csv_prefix(*fields) -> str:
+    """The leading cells of a row as ``csv.writer`` writes them, with the delimiter that follows."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([*fields, ""])
+    return buf.getvalue()[:-1]
 
 
 def export_csv(data, path) -> None:
@@ -32,40 +35,33 @@ def export_csv(data, path) -> None:
     A list of TrialTrace gets one row per round with the trace schema; a list
     of AggregateResult (or a single one) gets the aggregate schema.  An empty
     list produces a header-only trace CSV.
+
+    Each trace or aggregate is formatted from whole ``.tolist()`` columns, one
+    %-format per row (%.12g for the floats), and written in one piece, so at
+    most one trace's text is held at a time.  Its label cells come from
+    ``csv.writer``, once per trace, so labels that need quoting keep it.
     """
     if isinstance(data, AggregateResult):
         data = [data]
     items = list(data)
     is_agg = bool(items) and isinstance(items[0], AggregateResult)
+    kind = AggregateResult if is_agg else TrialTrace
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if is_agg:
-                writer.writerow(AGG_HEADER)
-                for agg in items:
-                    if not isinstance(agg, AggregateResult):
-                        raise TypeError("cannot mix traces and aggregates in one CSV")
-                    for i in range(len(agg.t)):
-                        writer.writerow(
-                            [agg.algorithm, int(agg.t[i]), _fmt(agg.mean_cum_regret[i]), _fmt(agg.ci_half[i])]
-                        )
-            else:
-                writer.writerow(TRACE_HEADER)
-                for tr in items:
-                    if not isinstance(tr, TrialTrace):
-                        raise TypeError("cannot mix traces and aggregates in one CSV")
-                    for i in range(len(tr)):
-                        writer.writerow(
-                            [
-                                tr.algorithm,
-                                tr.seed,
-                                int(tr.t[i]),
-                                int(tr.chosen[i]),
-                                _fmt(tr.rewards[i]),
-                                _fmt(tr.inst_regret[i]),
-                                _fmt(tr.cum_regret[i]),
-                            ]
-                        )
+            csv.writer(fh, lineterminator="\n").writerow(AGG_HEADER if is_agg else TRACE_HEADER)
+            for item in items:
+                if not isinstance(item, kind):
+                    raise TypeError("cannot mix traces and aggregates in one CSV")
+                if is_agg:
+                    prefix = _csv_prefix(item.algorithm)
+                    row = "%d,%.12g,%.12g\n"
+                    cols = (item.t, item.mean_cum_regret, item.ci_half)
+                else:
+                    prefix = _csv_prefix(item.algorithm, item.seed)
+                    row = "%d,%d,%.12g,%.12g,%.12g\n"
+                    cols = (item.t, item.chosen, item.rewards, item.inst_regret, item.cum_regret)
+                row = prefix.replace("%", "%%") + row
+                fh.write("".join([row % values for values in zip(*[np.asarray(c).tolist() for c in cols])]))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -78,7 +74,7 @@ def _svg_coords(t, y, x0, x1, y0, y1, tmax, ymax):
 
 
 def _points(xs, ys) -> str:
-    return " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
+    return " ".join(["%.2f,%.2f" % xy for xy in zip(xs.tolist(), ys.tolist())])
 
 
 def emit_svg(aggregates: list[AggregateResult], path) -> None:
@@ -152,7 +148,9 @@ def emit_svg(aggregates: list[AggregateResult], path) -> None:
         parts.append(f'<text x="{x0 + 40:.2f}" y="{ly + 4:.2f}" font-size="12">{label}</text>')
     parts.append("</svg>")
     try:
-        Path(path).write_text("\n".join(parts) + "\n")
+        with open(path, "w") as fh:
+            for part in parts:  # part by part: the file's text is never joined into one string
+                fh.write(part + "\n")
     except OSError as exc:
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
 

@@ -10,6 +10,7 @@ for anything except types under test.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,11 +83,21 @@ def eval_f_batch_reference(weights: np.ndarray, actions: np.ndarray) -> np.ndarr
     return p.sum(axis=1)
 
 
+def row_sum_reference(a: np.ndarray) -> np.ndarray:
+    return a.sum(axis=1)
+
+
 def sign_robust_features_reference(actions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    ind = (actions @ weights.T >= 0.0).astype(np.float64)  # (m, k)
+    return sign_robust_lift_reference(actions, actions @ weights.T)
+
+
+def sign_robust_lift_reference(actions: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """The lift from the (m, k) projection on the estimate, as the package's kernel takes it."""
+    ind = (proj >= 0.0).astype(np.float64)  # (m, k)
     first = ind[:, :, None] * actions[:, None, :]  # (m, k, d)
     second = (0.5 - ind)[:, :, None] * actions[:, None, :]
-    return np.concatenate([first, second], axis=1).reshape(actions.shape[0], -1)
+    (m, d), k = actions.shape, proj.shape[1]
+    return np.concatenate([first, second], axis=1).reshape(m, 2 * k * d)
 
 
 def margin_mask_reference(actions: np.ndarray, weights: np.ndarray, nu: float) -> np.ndarray:
@@ -157,6 +168,49 @@ def ridge_update_reference(state: RidgeReference, x: np.ndarray, y: float, refac
         logdet = state.logdet + math.log(denom)
     gram_inv = 0.5 * (gram_inv + gram_inv.T)
     return RidgeReference(gram, moment, gram_inv, gram_inv @ moment, logdet, since)
+
+
+# the artifact writers row by row and point by point, the form the package
+# replaced with whole-column formatting
+
+
+def _fmt(v: float) -> str:
+    return "%.12g" % float(v)
+
+
+def export_csv_reference(data, path) -> None:
+    """One ``csv.writer`` row per round (traces) or per time step (aggregates)."""
+    items = [data] if hasattr(data, "mean_cum_regret") else list(data)
+    is_agg = bool(items) and hasattr(items[0], "mean_cum_regret")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if is_agg:
+            writer.writerow(["algorithm", "t", "mean_cum_regret", "ci_half"])
+            for agg in items:
+                for i in range(len(agg.t)):
+                    writer.writerow(
+                        [agg.algorithm, int(agg.t[i]), _fmt(agg.mean_cum_regret[i]), _fmt(agg.ci_half[i])]
+                    )
+        else:
+            writer.writerow(["algorithm", "seed", "t", "chosen_index", "reward", "inst_regret", "cum_regret"])
+            for tr in items:
+                for i in range(len(tr)):
+                    writer.writerow(
+                        [
+                            tr.algorithm,
+                            tr.seed,
+                            int(tr.t[i]),
+                            int(tr.chosen[i]),
+                            _fmt(tr.rewards[i]),
+                            _fmt(tr.inst_regret[i]),
+                            _fmt(tr.cum_regret[i]),
+                        ]
+                    )
+
+
+def points_reference(xs, ys) -> str:
+    """SVG point list, one %.2f pair per point."""
+    return " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
 
 
 def exhaustive_match(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, tuple]:

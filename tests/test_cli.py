@@ -18,10 +18,17 @@ from relu_bandits import (
     t0_schedule,
     zeta_bound,
 )
-from relu_bandits import cli
+from relu_bandits import agents, cli, harness, linear_ucb, relu_model, reporting
 from relu_bandits.cli import main, parse_experiment_config, run_experiment
 
-from oracles import mp_h
+from oracles import (
+    export_csv_reference,
+    mp_h,
+    points_reference,
+    row_sum_reference,
+    sample_arms_reference,
+    sign_robust_lift_reference,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GRID_RANGE = "algorithms[0]: a value is out of floating-point range"
@@ -268,6 +275,50 @@ class TestCheckBounds:
         for eps in (0.001, 0.002, 0.003):
             assert mp_h(0.0, eps, 3, d) is None
             assert f"h(eta=0, eps={eps:g}) vacuous (nonpositive denominator)" in out.splitlines()
+
+
+# the fig2a shape (2kd = 12) with every algorithm, OFU-ReLU+ on a practical grid
+DROP_IN = {
+    "k": 3,
+    "d": 2,
+    "T": 70,
+    "trials": 2,
+    "arms_per_round": 50,
+    "sigma": 0.1,
+    "alpha0": 0.9,
+    "seed": 5,
+    "algorithms": [
+        {"name": "ofu_relu", "t0": 20, "lambda": 0.01},
+        {"name": "oful", "lambda": 0.01},
+        {"name": "random"},
+        {"name": "ofu_relu_plus", "T1": 10, "practical_override": [10, 10, 10], "lambda": 0.01},
+    ],
+}
+
+
+class TestKernelsDropIn:
+    def test_reference_kernels_and_writers_write_the_same_artifacts(self, tmp_path, monkeypatch, capsys):
+        """The column-loop kernels and writers are drop-ins for their numpy and
+        row-by-row forms in ``oracles``: a run with those patched in writes the
+        same bytes, on whatever BLAS the run has."""
+        cfg = write_config(tmp_path / "cfg.json", DROP_IN)
+        names = ("traces.csv", "aggregate.csv", "regret.svg")
+
+        def simulate(out):
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+            return {name: (out / name).read_bytes() for name in names}
+
+        shipped = simulate(tmp_path / "shipped")
+        for module in (relu_model, harness, linear_ucb):
+            monkeypatch.setattr(module, "_row_sum", row_sum_reference)
+        monkeypatch.setattr(harness, "sample_arms", sample_arms_reference)
+        monkeypatch.setattr(agents, "sign_robust_features_batch", sign_robust_lift_reference)
+        monkeypatch.setattr(cli, "export_csv", export_csv_reference)
+        monkeypatch.setattr(reporting, "_points", points_reference)
+        reference = simulate(tmp_path / "reference")
+        capsys.readouterr()
+        for name in names:
+            assert shipped[name] == reference[name], name
 
 
 class TestSimulate:

@@ -358,6 +358,16 @@ def kernel_cases(k):
                 yield kernel_case(rng, k, d, m, orthant)
 
 
+ROW_SUM_SPECIALS = {
+    "inf": (np.inf,),
+    "-inf": (-np.inf,),
+    "nan": (np.nan,),
+    "inf and -inf": (np.inf, -np.inf),
+    "nan and inf": (np.nan, np.inf),
+    "nan and -inf": (np.nan, -np.inf),
+}
+
+
 class TestRowSum:
     @pytest.mark.parametrize("m", KERNEL_MS)
     def test_equals_numpy_sum_on_both_sides_of_eight(self, m):
@@ -370,6 +380,54 @@ class TestRowSum:
     def test_signed_zero_rows(self):
         a = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1.0]])
         assert_same_bits(_row_sum(a), a.sum(axis=1))
+
+    @pytest.mark.parametrize("m", KERNEL_MS)
+    def test_all_negative_zero_rows_sum_to_positive_zero(self, m):
+        for n in range(1, 21):
+            a = np.full((m, n), -0.0)
+            got = _row_sum(a)
+            assert_same_bits(got, a.sum(axis=1))
+            assert not np.signbit(got).any()  # numpy's +0.0 start, at every width
+
+    def test_signed_zeros_mixed_with_nonzeros(self):
+        rng = np.random.default_rng(8)
+        values = np.array([-0.0, 0.0, 1.5, -1.5, 5e-324, -5e-324, 2.0**60, -(2.0**60)])
+        for n in range(1, 21):
+            a = rng.choice(values, size=(600, n), p=[0.35, 0.15, 0.1, 0.1, 0.075, 0.075, 0.075, 0.075])
+            a[0] = -0.0
+            a[1, -1] = 1.0  # one nonzero after a run of -0.0
+            a[2, :] = -0.0
+            a[2, 0] = 1.0  # one nonzero before it
+            if n >= 2:
+                a[3, :2] = (1.5, -1.5)  # cancels to +0.0, the rest +-0
+                a[3, 2:] = -0.0
+            assert_same_bits(_row_sum(a), a.sum(axis=1))
+
+    @pytest.mark.parametrize("special", sorted(ROW_SUM_SPECIALS))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf + -inf
+    def test_rows_with_infinities_and_nan(self, special):
+        # At most one NaN arises per row (a NaN entry, or inf + -inf): of two
+        # different NaNs the sum keeps whichever the CPU's add takes first, and
+        # numpy's compiled loops may take the operands either way round.
+        rng = np.random.default_rng(9)
+        for n in range(1, 21):
+            a = rng.standard_normal((600, n))
+            a[::4] = -0.0
+            for i in range(n):  # row i holds the specials from column i on, five apart
+                for r, v in enumerate(ROW_SUM_SPECIALS[special]):
+                    a[i, (i + 5 * r) % n] = v
+            assert_same_bits(_row_sum(a), a.sum(axis=1))
+
+    def test_numpy_fallback_from_sixteen_and_off_contiguous_rows(self):
+        rng = np.random.default_rng(10)
+        for n in (16, 17, 24, 40):
+            a = rng.standard_normal((600, n)) * np.exp(rng.uniform(-30.0, 30.0, (600, n)))
+            a[::3] = -0.0
+            assert_same_bits(_row_sum(a), a.sum(axis=1))
+        for n in range(1, 16):  # numpy sums other layouts column by column
+            a = rng.standard_normal((600, n)) * np.exp(rng.uniform(-30.0, 30.0, (600, n)))
+            for view in (np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]):
+                assert_same_bits(_row_sum(view), view.sum(axis=1))
 
 
 class TestKernelsMatchReference:

@@ -13,6 +13,9 @@ from relu_bandits import (
     export_csv,
     write_summary,
 )
+from relu_bandits import reporting
+
+from oracles import export_csv_reference, points_reference
 
 
 def trace(tag="alg", seed=0, vals=(0.25, 1.5)):
@@ -125,6 +128,63 @@ class TestEmitSvg:
     def test_io_error_names_path(self, tmp_path):
         with pytest.raises(OSError, match="plot.svg"):
             emit_svg(agg_pair(), tmp_path / "nope" / "plot.svg")
+
+
+# labels csv must quote, and one the row format must not read as a format
+ODD_LABELS = ["a,b", 'say "hi"', "two\nlines", "50% off", "plain"]
+ODD_VALUES = np.array([-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1 + 0.2, -1.0 / 3.0])
+
+
+def odd_trace(tag, seed):
+    n = len(ODD_VALUES)
+    return TrialTrace(
+        algorithm=tag,
+        seed=seed,
+        t=np.arange(1, n + 1),
+        chosen=np.arange(n)[::-1].copy(),
+        rewards=ODD_VALUES.copy(),
+        inst_regret=ODD_VALUES[::-1].copy(),
+        cum_regret=ODD_VALUES * 3.0,
+    )
+
+
+def odd_aggregate(tag, values=ODD_VALUES):
+    n = len(values)
+    return AggregateResult(
+        algorithm=tag, t=np.arange(1, n + 1), mean_cum_regret=values.copy(), ci_half=values[::-1].copy(), n_trials=2
+    )
+
+
+class TestWritersMatchReference:
+    """The column-formatting writers write the bytes of the row-by-row ones in ``oracles``."""
+
+    def assert_same_csv(self, data, tmp_path):
+        export_csv(data, tmp_path / "got.csv")
+        export_csv_reference(data, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_traces(self, tmp_path):
+        self.assert_same_csv([odd_trace(tag, seed) for seed, tag in enumerate(ODD_LABELS)] + [trace()], tmp_path)
+
+    def test_aggregates(self, tmp_path):
+        self.assert_same_csv([odd_aggregate(tag) for tag in ODD_LABELS] + agg_pair(), tmp_path)
+
+    def test_single_aggregate(self, tmp_path):
+        self.assert_same_csv(odd_aggregate('say "hi"'), tmp_path)
+
+    def test_empty_trace_list(self, tmp_path):
+        self.assert_same_csv([], tmp_path)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the bands of the non-finite set
+    def test_svg(self, tmp_path, monkeypatch):
+        aggs = [odd_aggregate(tag) for tag in ODD_LABELS] + agg_pair()
+        finite = [odd_aggregate(tag, ODD_VALUES[np.isfinite(ODD_VALUES)]) for tag in ODD_LABELS] + agg_pair()
+        for name, data in (("odd", aggs), ("finite", finite)):
+            emit_svg(data, tmp_path / f"got-{name}.svg")
+        monkeypatch.setattr(reporting, "_points", points_reference)
+        for name, data in (("odd", aggs), ("finite", finite)):
+            emit_svg(data, tmp_path / f"want-{name}.svg")
+            assert (tmp_path / f"got-{name}.svg").read_bytes() == (tmp_path / f"want-{name}.svg").read_bytes()
 
 
 class TestWriteSummary:
