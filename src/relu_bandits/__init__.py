@@ -8,7 +8,6 @@ writers (reporting) and a CLI (cli).
 """
 
 from .agents import (
-    BatchGrid,
     OfulAgent,
     OfulConfig,
     OfuReluAgent,
@@ -32,7 +31,6 @@ from .errors import (
 from .estimation import (
     BoundParams,
     FitConfig,
-    MatchResult,
     alpha_bound,
     fit_erm,
     h_bound,
@@ -61,7 +59,6 @@ from .reporting import emit_svg, export_csv, write_summary
 
 __all__ = [
     "AggregateResult",
-    "BatchGrid",
     "BoundParams",
     "BoundVacuousError",
     "ConfigError",
@@ -71,7 +68,6 @@ __all__ = [
     "GenerationError",
     "Instance",
     "LinearUcbState",
-    "MatchResult",
     "NumericError",
     "OfulAgent",
     "OfulConfig",

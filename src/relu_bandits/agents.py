@@ -69,7 +69,7 @@ class OfuReluPlusConfig:
 
     Batch i covers rounds ((a^(i-1) - 1) T1, (a^i - 1) T1]; its exploration
     length comes from the t0 schedule increments under ``schedule`` unless
-    ``practical_override`` supplies per-batch lengths verbatim.
+    ``practical_override`` supplies per-batch lengths (each clamped to its batch).
     """
 
     nu0: float
@@ -113,19 +113,16 @@ class BatchGrid:
     M: int
     boundaries: tuple[int, ...]  # length M+1, starting at T_0 = 0
     nus: tuple[float, ...]  # nu_i = nu0 / b^i, one per batch
-    explore_sizes: tuple[int, ...]  # one per batch
-
-    def batch_length(self, i: int) -> int:
-        return self.boundaries[i + 1] - self.boundaries[i]
+    explore_sizes: tuple[int, ...]  # one per batch, each at most its batch length: what actually runs
 
 
 def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
     """Batch count M = ceil(log(T/T1 + 1) / log a), boundaries (a^i - 1) T1.
 
     The last boundary is clamped to T.  Schedule-derived exploration sizes are
-    the increments max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))), clamped to the
-    batch length; an override list is stored verbatim and only clamped at
-    execution time.
+    the increments max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))); an override
+    list supplies them instead.  Either way each size is clamped to its batch
+    length.
     """
     if T < cfg.T1:
         raise ConfigError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
@@ -144,17 +141,16 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
             raise ConfigError(
                 f"practical_override has {len(cfg.practical_override)} entries but the grid has {M} batches"
             )
-        sizes = tuple(cfg.practical_override[:M])
+        sizes = cfg.practical_override[:M]
     else:
         params = replace(cfg.schedule, T=float(T))
         prev = math.ceil(t0_schedule(cfg.nu0, params))
         sizes = []
         for i in range(M):
             cur = math.ceil(t0_schedule(nus[i], params))
-            raw_size = max(0, cur - prev)
+            sizes.append(max(0, cur - prev))
             prev = cur
-            sizes.append(min(raw_size, boundaries[i + 1] - boundaries[i]))
-        sizes = tuple(sizes)
+    sizes = tuple(min(size, boundaries[i + 1] - boundaries[i]) for i, size in enumerate(sizes))
     return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes)
 
 
@@ -242,11 +238,11 @@ class OfuReluAgent(_SequentialAgent):
     One agent runs both ReLU configs through the schedule ``_resolve_schedule``
     returns; OFU-ReLU is the one-batch case of OFU-ReLU+.  The agent keeps one
     history of its T rounds: chosen rows, rewards and an explored flag.
-    Within batch i the first explore_sizes[i] rounds (clamped to the batch)
-    sample uniformly; the last of them refits the model on every explored
-    round so far and rebuilds the 2kd ridge state by replaying the history
-    from the replay start under the new estimate (features of past actions
-    change with the estimate, so the state cannot be patched across a refit).
+    Within batch i the first explore_sizes[i] rounds sample uniformly; the
+    last of them refits the model on every explored round so far and
+    rebuilds the 2kd ridge state by replaying the history from the replay
+    start under the new estimate (features of past actions change with the
+    estimate, so the state cannot be patched across a refit).
     Between refits every later round also enters the ridge incrementally, so
     the state always equals that replay under the current estimate.
 
@@ -264,10 +260,8 @@ class OfuReluAgent(_SequentialAgent):
         self._k, self._d = k, d
         self._cfg = cfg
         self.grid, self._replay_start = _resolve_schedule(cfg, T)
-        self._explore_end = [  # the round at which each batch stops exploring
-            start + min(size, self.grid.batch_length(i))
-            for i, (start, size) in enumerate(zip(self.grid.boundaries, self.grid.explore_sizes))
-        ]
+        # the round at which each batch stops exploring
+        self._explore_end = [start + size for start, size in zip(self.grid.boundaries, self.grid.explore_sizes)]
         self._estimate: ReluNetwork | None = None
         self._ridge = LinearUcbState(2 * k * d, cfg.ucb.lam)
         self._pending_features: np.ndarray | None = None

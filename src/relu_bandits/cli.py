@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int, sig
         practical_override=p["practical_override"], label=p["label"],
     )
     grid = build_batch_grid(cfg, T)  # a bad grid fails here, before any output is written
-    if not any(min(n, grid.batch_length(i)) for i, n in enumerate(grid.explore_sizes)):
+    if not any(grid.explore_sizes):
         print(f"warning: every exploration window of {p['label']}'s batch grid is empty: "
               f"it never fits and explores at random for all {T} rounds", file=sys.stderr)
     return cfg
@@ -231,8 +231,7 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
 
 def _instance_for_trial(cfg: ExperimentConfig, trial: int) -> Instance:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0)))
-    inst = gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, rng)
-    return replace(inst, seed=trial)  # tag with the trial index for traceability
+    return gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, rng)
 
 
 def _run_cell(args: tuple[ExperimentConfig, int, int, Instance]) -> TrialTrace:

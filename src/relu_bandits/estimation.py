@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError
-from .relu_model import ReluNetwork, _as_unit_rows
+from .relu_model import ReluNetwork, _as_unit_rows, _unit_rows
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,6 @@ def _as_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     if y.shape != (X.shape[0],):
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     return X, y
-
-
-def _unit_rows(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
-    w = rng.normal(size=(k, d))
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    while (norms < 1e-12).any():  # essentially unreachable; keeps the draw well-defined
-        bad = norms[:, 0] < 1e-12
-        w[bad] = rng.normal(size=(int(bad.sum()), d))
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
-    return w / norms
 
 
 def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:

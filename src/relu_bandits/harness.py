@@ -19,7 +19,7 @@ import numpy as np
 
 from .agents import AgentConfig, _SequentialAgent, make_agent
 from .errors import GenerationError
-from .relu_model import ReluNetwork, _as_unit_rows, _row_sum, eval_f_batch
+from .relu_model import ReluNetwork, _as_unit_rows, _unit_rows, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
 
@@ -31,7 +31,6 @@ class Instance:
     truth: ReluNetwork
     sigma: float
     alpha0: float
-    seed: int = -1
 
     def __post_init__(self):
         if self.sigma < 0.0:
@@ -93,22 +92,17 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng) -> Instance:
         raise ValueError("d must be at least 2")
     if alpha0 < 0.0:
         raise ValueError("alpha0 must be nonnegative")
-    seed = rng if isinstance(rng, (int, np.integer)) else -1
     gen = _as_generator(rng)
     for _ in range(MAX_GEN_ATTEMPTS):
-        raw = gen.standard_normal((k, d))
-        norms = np.linalg.norm(raw, axis=1)
-        if np.any(norms == 0.0):
-            continue
-        w = raw / norms[:, None]
+        w = _unit_rows(gen, k, d)
         if k == 1 or alpha0 == 0.0:
-            return Instance(truth=ReluNetwork(w), sigma=sigma, alpha0=alpha0, seed=int(seed))
+            return Instance(truth=ReluNetwork(w), sigma=sigma, alpha0=alpha0)
         diff = np.linalg.norm(w[:, None, :] - w[None, :, :], axis=2)
         summ = np.linalg.norm(w[:, None, :] + w[None, :, :], axis=2)
         sep = np.minimum(diff, summ)
         iu = np.triu_indices(k, 1)
         if sep[iu].min() >= alpha0:
-            return Instance(truth=ReluNetwork(w), sigma=sigma, alpha0=alpha0, seed=int(seed))
+            return Instance(truth=ReluNetwork(w), sigma=sigma, alpha0=alpha0)
     raise GenerationError(
         f"no instance with separation {alpha0} found for k={k}, d={d} in {MAX_GEN_ATTEMPTS} attempts"
     )
@@ -118,16 +112,7 @@ def sample_arms(m: int, d: int, rng) -> np.ndarray:
     """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    gen = _as_generator(rng)
-    raw = gen.standard_normal((m, d))
-    norms = np.sqrt(_row_sum(raw * raw))  # what np.linalg.norm(raw, axis=1) computes
-    while not norms.all():  # probability-zero guard
-        bad = norms == 0.0
-        raw[bad] = gen.standard_normal((int(bad.sum()), d))
-        norms = np.sqrt(_row_sum(raw * raw))
-    for j in range(d):  # what raw /= norms[:, None] computes, without the broadcast
-        raw[:, j] /= norms
-    return raw
+    return _unit_rows(_as_generator(rng), m, d)
 
 
 def run_trial(

@@ -53,8 +53,8 @@ class LinearUcbState:
     def __init__(self, dim: int, lam: float = 1.0):
         if dim < 1:
             raise ValueError("dim must be positive")
-        if lam <= 0.0:
-            raise ValueError("lambda must be positive")
+        if not lam >= LAMBDA_MIN:
+            raise ValueError(f"lambda must be at least sqrt(machine epsilon) = {LAMBDA_MIN:.3g}")
         eye = np.eye(dim)
         self.dim = dim
         self.lam = lam
@@ -108,14 +108,17 @@ def conf_radius(state: LinearUcbState, cfg: UcbConfig) -> float:
 
 
 def ucb_select(state: LinearUcbState, cfg: UcbConfig, candidates) -> int:
-    """Index maximizing x . V^-1 b + beta * |x|_{V^-1}; ties pick the lowest index."""
+    """Index of the (m, dim) candidate row maximizing x . V^-1 b + beta * |x|_{V^-1}.
+
+    Among equal computed scores the lowest index wins.  Rows whose scores tie
+    in exact arithmetic can still differ in the last bits, so rounding picks
+    among them.
+    """
     feats = np.asarray(candidates, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[None, :]
-    if feats.shape[0] == 0:
-        raise ValueError("candidates must be nonempty")
     if feats.ndim != 2 or feats.shape[1] != state.dim:
         raise DimensionMismatchError(f"candidates have shape {feats.shape}, expected (m, {state.dim})")
+    if feats.shape[0] == 0:
+        raise ValueError("candidates must be nonempty")
     beta = conf_radius(state, cfg)
     terms = feats @ state.gram_inv
     terms *= feats

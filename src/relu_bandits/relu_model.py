@@ -23,8 +23,10 @@ An action is a unit-norm row of d floats and an arm set is an (m, d) array of
 them.  ``margin_mask`` and the lift take its (m, k) projection on the
 estimate, ``actions @ est.weights.T``, which the caller computes once for both.
 The maps here trust that format; callers validate data where it enters
-(``_as_unit_rows``).  All types are immutable after construction and all
-operations are pure, so they are safe to use from concurrently running trials.
+(``_as_unit_rows``).  Arm sets, instances and ERM restarts all draw their
+unit rows from ``_unit_rows``.  All types are immutable after construction
+and all operations are pure, so they are safe to use from concurrently
+running trials.
 """
 
 from __future__ import annotations
@@ -109,6 +111,19 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
         out += a[:, j]
     out += 0.0  # numpy's +0.0 start, added last: it only turns a -0.0 sum into +0.0
     return out
+
+
+def _unit_rows(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians)."""
+    raw = gen.standard_normal((m, d))
+    norms = np.sqrt(_row_sum(raw * raw))  # what np.linalg.norm(raw, axis=1) computes
+    while not norms.all():  # probability-zero guard
+        bad = norms == 0.0
+        raw[bad] = gen.standard_normal((int(bad.sum()), d))
+        norms = np.sqrt(_row_sum(raw * raw))
+    for j in range(d):  # what raw /= norms[:, None] computes, without the broadcast
+        raw[:, j] /= norms
+    return raw
 
 
 def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:

@@ -33,16 +33,14 @@ def export_csv(data, path) -> None:
     """Write traces or aggregates to CSV.
 
     A list of TrialTrace gets one row per round with the trace schema; a list
-    of AggregateResult (or a single one) gets the aggregate schema.  An empty
-    list produces a header-only trace CSV.
+    of AggregateResult gets the aggregate schema.  An empty list produces a
+    header-only trace CSV.
 
     Each trace or aggregate is formatted from whole ``.tolist()`` columns, one
     %-format per row (%.12g for the floats), and written in one piece, so at
     most one trace's text is held at a time.  Its label cells come from
     ``csv.writer``, once per trace, so labels that need quoting keep it.
     """
-    if isinstance(data, AggregateResult):
-        data = [data]
     items = list(data)
     is_agg = bool(items) and isinstance(items[0], AggregateResult)
     kind = AggregateResult if is_agg else TrialTrace

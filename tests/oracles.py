@@ -77,6 +77,29 @@ def sample_arms_reference(m: int, d: int, gen: np.random.Generator) -> np.ndarra
     return raw / norms[:, None]
 
 
+def gen_instance_reference(k: int, d: int, alpha0: float, gen: np.random.Generator) -> np.ndarray:
+    """The (k, d) weights ``gen_instance`` draws, by its own normalization and rejection loop.
+
+    Each attempt draws a whole Gaussian matrix and normalizes it with
+    ``np.linalg.norm``; an attempt with a zero row, or a pair of rows closer
+    than alpha0 up to sign, is thrown away.  Returns None after 10^4 attempts.
+    """
+    for _ in range(10_000):
+        raw = gen.standard_normal((k, d))
+        norms = np.linalg.norm(raw, axis=1)
+        if np.any(norms == 0.0):
+            continue
+        w = raw / norms[:, None]
+        if k == 1 or alpha0 == 0.0:
+            return w
+        diff = np.linalg.norm(w[:, None, :] - w[None, :, :], axis=2)
+        summ = np.linalg.norm(w[:, None, :] + w[None, :, :], axis=2)
+        sep = np.minimum(diff, summ)
+        if sep[np.triu_indices(k, 1)].min() >= alpha0:
+            return w
+    return None
+
+
 def eval_f_batch_reference(weights: np.ndarray, actions: np.ndarray) -> np.ndarray:
     p = actions @ weights.T
     np.maximum(p, 0.0, out=p)
@@ -180,7 +203,7 @@ def _fmt(v: float) -> str:
 
 def export_csv_reference(data, path) -> None:
     """One ``csv.writer`` row per round (traces) or per time step (aggregates)."""
-    items = [data] if hasattr(data, "mean_cum_regret") else list(data)
+    items = list(data)
     is_agg = bool(items) and hasattr(items[0], "mean_cum_regret")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -333,8 +333,9 @@ class TestBuildBatchGrid:
         assert grid.nus == pytest.approx((0.5, 0.25, 0.125))
 
     def test_override_verbatim(self):
-        grid = build_batch_grid(plus_config((20, 10, 10)), 70)
-        assert grid.explore_sizes == (20, 10, 10)
+        # within its batch an override length is kept verbatim; beyond it, clamped to the batch
+        assert build_batch_grid(plus_config((5, 10, 10)), 70).explore_sizes == (5, 10, 10)
+        assert build_batch_grid(plus_config((20, 30, 50)), 70).explore_sizes == (10, 20, 40)
 
     def test_override_too_short(self):
         with pytest.raises(ConfigError):

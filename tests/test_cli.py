@@ -309,7 +309,7 @@ class TestKernelsDropIn:
             return {name: (out / name).read_bytes() for name in names}
 
         shipped = simulate(tmp_path / "shipped")
-        for module in (relu_model, harness, linear_ucb):
+        for module in (relu_model, linear_ucb):  # relu_model's patch reaches every unit-row sampler
             monkeypatch.setattr(module, "_row_sum", row_sum_reference)
         monkeypatch.setattr(harness, "sample_arms", sample_arms_reference)
         monkeypatch.setattr(agents, "sign_robust_features_batch", sign_robust_lift_reference)

@@ -16,7 +16,7 @@ from relu_bandits import (
     sample_arms,
 )
 
-from oracles import sample_arms_reference
+from oracles import gen_instance_reference, sample_arms_reference
 
 
 def make_trace(finals, tag="x"):
@@ -56,13 +56,19 @@ class TestGenInstance:
         with pytest.raises(GenerationError):
             gen_instance(2, 2, 2.1, 0.1, np.random.default_rng(2))
 
-    def test_seed_recorded_for_int(self):
-        inst = gen_instance(2, 2, 0.1, 0.1, 77)
-        assert inst.seed == 77
-
-    def test_generator_input_leaves_seed_unset(self):
-        inst = gen_instance(2, 2, 0.1, 0.1, np.random.default_rng(3))
-        assert inst.seed == -1
+    @pytest.mark.parametrize(
+        "k,d,alpha0",
+        [(1, 3, 1.9), (3, 2, 0.0), (3, 2, 0.9), (10, 2, 0.1), (4, 5, 1.2), (10, 12, 1.0)],
+    )
+    def test_matches_reference_loop(self, k, d, alpha0):
+        # k=3, d=2, alpha0=0.9 (fig2a) and k=10, d=2, alpha0=0.1 (fig2b) reject
+        # most attempts, so every draw of a long rejection run must match
+        for seed in range(5):
+            gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            inst = gen_instance(k, d, alpha0, 0.1, gen)
+            want = gen_instance_reference(k, d, alpha0, ref)
+            assert inst.truth.weights.tobytes() == want.tobytes()
+            assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_deterministic(self):
         a = gen_instance(3, 2, 0.2, 0.1, 5)

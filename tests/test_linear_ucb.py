@@ -13,7 +13,7 @@ from relu_bandits import (
     sign_robust_features_batch,
     ucb_select,
 )
-from relu_bandits.linear_ucb import REFACTOR_EVERY
+from relu_bandits.linear_ucb import LAMBDA_MIN, REFACTOR_EVERY
 from relu_bandits.relu_model import _row_sum
 
 from oracles import (
@@ -58,6 +58,16 @@ class TestInitState:
             LinearUcbState(0)
         with pytest.raises(ValueError):
             LinearUcbState(2, lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), 1e-300, 0.0, -1.0])
+    def test_lambda_floor_is_the_configs(self, lam):
+        # NaN would make logdet nan and 1e-300 a gram_inv of 1e300 * I
+        with pytest.raises(ValueError) as config_err:
+            UcbConfig(sigma=0.1, S=1.0, delta=0.5, lam=lam)
+        with pytest.raises(ValueError, match=r"sqrt\(machine epsilon\)") as state_err:
+            LinearUcbState(2, lam=lam)
+        assert str(state_err.value) == str(config_err.value)
+        assert LinearUcbState(2, lam=LAMBDA_MIN).lam == LAMBDA_MIN
 
 
 class TestRidgeUpdate:
@@ -246,6 +256,8 @@ class TestUcbSelect:
         cfg = UcbConfig(sigma=1.0, S=1.0, delta=0.5, lam=1.0)
         with pytest.raises(DimensionMismatchError):
             ucb_select(s, cfg, [[1.0, 0.0, 0.0]])
+        with pytest.raises(DimensionMismatchError):  # one candidate is a (1, dim) array, not a bare row
+            ucb_select(s, cfg, [1.0, 0.0])
 
     def test_matches_ellipsoid_sampling(self):
         # closed form equals the joint argmax over arm x ellipsoid parameter

@@ -84,7 +84,7 @@ class TestExportCsvAggregates:
 
     def test_single_aggregate_accepted(self, tmp_path):
         p = tmp_path / "one.csv"
-        export_csv(agg_pair()[0], p)
+        export_csv(agg_pair()[:1], p)
         rows = list(csv.reader(p.open()))
         assert rows[1][0] == "a"
         assert float(rows[2][2]) == pytest.approx(3.0)  # mean of cum regrets 3 and 3
@@ -170,7 +170,7 @@ class TestWritersMatchReference:
         self.assert_same_csv([odd_aggregate(tag) for tag in ODD_LABELS] + agg_pair(), tmp_path)
 
     def test_single_aggregate(self, tmp_path):
-        self.assert_same_csv(odd_aggregate('say "hi"'), tmp_path)
+        self.assert_same_csv([odd_aggregate('say "hi"')], tmp_path)
 
     def test_empty_trace_list(self, tmp_path):
         self.assert_same_csv([], tmp_path)
