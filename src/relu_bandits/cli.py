@@ -2,9 +2,9 @@
 
 Config files are strict JSON: unknown keys are rejected with a field-level
 message and exit code 2, so typos cannot silently fall back to defaults.
-All randomness flows from one master seed; per-trial streams are derived as
-SeedSequence((master, trial, tag)) with tag 0 for the instance and tag 1 for
-the environment, so results do not depend on scheduling order or --jobs.
+Each command parses and checks its input, then hands the run to the harness,
+which derives every random stream from the master seed; ``simulate`` then
+writes the artifacts.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
-
-import numpy as np
+from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
 from .errors import BoundVacuousError, ConfigError
@@ -30,27 +28,10 @@ from .estimation import (
     t0_schedule,
     zeta_bound,
 )
-from .harness import AggregateResult, Instance, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
+from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import eval_f_batch
 from .reporting import emit_svg, export_csv, write_summary
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully-resolved simulate configuration (defaults already applied)."""
-
-    k: int
-    d: int
-    T: int
-    trials: int
-    arms_per_round: int
-    sigma: float
-    alpha0: float
-    seed: int
-    algorithms: tuple[AgentConfig, ...]
-    out_dir: str
-    echo: dict
 
 
 REQUIRED = object()  # table default of a key the block must set
@@ -108,7 +89,7 @@ def _is_int(v) -> bool:
 def _value(v, kind, key: str, where: str):
     """Type-check one value that the block sets; an integer is accepted as a float."""
     if kind is float and _is_int(v):
-        v = float(v)
+        v = float(v) if abs(v) <= sys.float_info.max else math.inf  # float() would overflow; rejected below
     if kind is int and not _is_int(v):
         raise ConfigError(f"key '{key}' in {where} must be an integer")
     if kind is float and not (isinstance(v, float) and math.isfinite(v)):
@@ -159,12 +140,6 @@ def _parse_algorithm(block, where: str, ctx: tuple) -> dict:
     return _parse(block, {"name": (str, REQUIRED), "label": (str, name), **ALGORITHMS[name]}, where, ctx)
 
 
-def _check_alpha0(k: int, alpha0: float) -> None:
-    # for unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2)
-    if k >= 2 and alpha0 > math.sqrt(2.0):
-        raise ConfigError(f"alpha0={alpha0} is infeasible: with k >= 2 it can be at most sqrt(2)")
-
-
 def _fit_config(p: dict, where: str) -> FitConfig:
     """Build a FitConfig from a resolved fit block, naming the block in its range errors."""
     try:
@@ -200,14 +175,14 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
         p["seed"] = seed_override
     if out_override is not None:
         p["out_dir"] = out_override
-    k, d, T, m, sigma = p["k"], p["d"], p["T"], p["arms_per_round"], p["sigma"]
-    if k < 1 or d < 2 or T < 1 or m < 1:
-        raise ConfigError("k, d, T and arms_per_round must be positive (d at least 2)")
+    k, d, T, sigma = p["k"], p["d"], p["T"], p["sigma"]
+    _check_instance(k, d, p["alpha0"], sigma)
+    if T < 1 or p["arms_per_round"] < 1:
+        raise ConfigError("T and arms_per_round must be positive")
     if p["trials"] < 2:
         raise ConfigError("trials must be at least 2 (confidence intervals need two runs)")
-    if sigma < 0.0 or p["alpha0"] < 0.0 or p["seed"] < 0:
-        raise ConfigError("sigma, alpha0 and seed must be nonnegative")
-    _check_alpha0(k, p["alpha0"])
+    if p["seed"] < 0:
+        raise ConfigError("seed must be nonnegative")
     if not p["algorithms"]:
         raise ConfigError("'algorithms' must be a nonempty list")
     algos, echoes = [], []
@@ -229,38 +204,6 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
     return ExperimentConfig(**{**p, "algorithms": tuple(algos)}, echo=p)
 
 
-def _instance_for_trial(cfg: ExperimentConfig, trial: int) -> Instance:
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 0)))
-    return gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, rng)
-
-
-def _run_cell(args: tuple[ExperimentConfig, int, int, Instance]) -> TrialTrace:
-    cfg, algo_idx, trial, inst = args
-    env_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, 1)))
-    return run_trial(inst, cfg.algorithms[algo_idx], cfg.T, cfg.arms_per_round, env_rng, trial_seed=trial)
-
-
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialTrace], list[AggregateResult]]:
-    """Run every (algorithm, trial) cell; results are independent of jobs.
-
-    The same trial index gives the same instance, arm sets and noise stream
-    to every algorithm (common random numbers), so curves are directly
-    comparable.  Each trial's instance is drawn once, here, and handed to
-    every cell of that trial.
-    """
-    insts = [_instance_for_trial(cfg, t) for t in range(cfg.trials)]
-    cells = [(cfg, a, t, insts[t]) for a in range(len(cfg.algorithms)) for t in range(cfg.trials)]
-    if jobs <= 1:
-        traces = [_run_cell(c) for c in cells]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # deferred: multiprocessing is slow to import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_run_cell, cells))  # in cell order
-    n = cfg.trials
-    return traces, [aggregate(traces[a * n : (a + 1) * n]) for a in range(len(cfg.algorithms))]
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -277,8 +220,14 @@ def cmd_simulate(args) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    traces, aggs = run_experiment(cfg, jobs)
+    made = not os.path.isdir(cfg.out_dir)
+    os.makedirs(cfg.out_dir, exist_ok=True)  # before the run, so a path that cannot be made fails first
+    try:
+        traces, aggs = run_experiment(cfg, jobs)
+    except BaseException:
+        if made and not os.listdir(cfg.out_dir):  # a failed run leaves no empty directory of its own
+            os.rmdir(cfg.out_dir)
+        raise
     export_csv(traces, os.path.join(cfg.out_dir, "traces.csv"))
     export_csv(aggs, os.path.join(cfg.out_dir, "aggregate.csv"))
     emit_svg(aggs, os.path.join(cfg.out_dir, "regret.svg"))
@@ -298,12 +247,12 @@ def cmd_estimate(args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     if not sizes or min(sizes) < 1:
         raise ConfigError("'sample_sizes' must be a nonempty list of positive integers")
-    if k < 1 or d < 2 or sigma < 0.0 or alpha0 < 0.0 or seed < 0 or not 0.0 < delta < 1.0:
-        raise ConfigError("invalid estimate parameters (need k >= 1, d >= 2, sigma >= 0, delta in (0,1))")
-    _check_alpha0(k, alpha0)
+    _check_instance(k, d, alpha0, sigma)
+    if seed < 0 or not 0.0 < delta < 1.0:
+        raise ConfigError("invalid estimate parameters (need seed >= 0, delta in (0,1))")
     fit = _fit_config(cfg["fit"], "config.fit")
-    inst = gen_instance(k, d, alpha0, sigma, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))))
-    data_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 1)))
+    inst = gen_instance(k, d, alpha0, sigma, _stream(seed, 0, 0))
+    data_rng = _stream(seed, 0, 1)
     for n in sizes:
         xs = sample_arms(n, d, data_rng)
         ys = eval_f_batch(inst.truth, xs) + sigma * data_rng.standard_normal(n)

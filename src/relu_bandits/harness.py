@@ -6,13 +6,18 @@ An arm set is an (m, d) array of unit rows, redrawn fresh every round by
 r_t = max over the round's offered set of f minus f(chosen).  With a fixed
 arm set this reduces to the usual fixed-comparator regret.
 
-Randomness discipline: run_trial derives three independent child streams
-(arm sets, reward noise, agent tie-breaking/exploration) from the generator
-it is given, so a trial is a pure function of (instance, config, T, m, seed).
+Streams: an experiment draws everything from one master seed, and every
+stream is ``_stream(seed, trial, tag)``, a SeedSequence((seed, trial, tag)):
+- tag 0 draws the trial's instance;
+- tag 1 is the trial's environment, which run_trial splits into arm sets,
+  reward noise and agent tie-breaking/exploration.
+So every algorithm of a trial sees the same instance, arm sets and noise
+(common random numbers), and results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +31,30 @@ MAX_GEN_ATTEMPTS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A sampled environment: true network, noise level, separation used."""
+    """A sampled environment: true network and noise level."""
 
     truth: ReluNetwork
     sigma: float
-    alpha0: float
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        _check_instance(self.truth.k, self.truth.d, 0.0, self.sigma)  # the rows are given, so no separation
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully-resolved simulate configuration (defaults already applied)."""
+
+    k: int
+    d: int
+    T: int
+    trials: int
+    arms_per_round: int
+    sigma: float
+    alpha0: float
+    seed: int
+    algorithms: tuple[AgentConfig, ...]
+    out_dir: str
+    echo: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,46 +93,50 @@ class AggregateResult:
     n_trials: int
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def _stream(seed: int, trial: int, tag: int) -> np.random.Generator:
+    """One generator of the stream table in the module docstring."""
+    return np.random.default_rng(np.random.SeedSequence((seed, trial, tag)))
 
 
-def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng) -> Instance:
+def _check_instance(k: int, d: int, alpha0: float, sigma: float) -> None:
+    """The instance-input rule: k >= 1, d >= 2, sigma >= 0 and alpha0 >= 0, at most sqrt(2) for k >= 2.
+
+    For unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2).
+    """
+    for name, value, low in (("k", k, 1), ("d", d, 2), ("sigma", sigma, 0), ("alpha0", alpha0, 0)):
+        if not value >= low:  # NaN fails too
+            raise ValueError(f"{name} must be at least {low}")
+    if k >= 2 and alpha0 > math.sqrt(2.0):
+        raise ValueError(f"alpha0={alpha0} is infeasible: with k >= 2 it can be at most sqrt(2)")
+
+
+def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng: np.random.Generator) -> Instance:
     """Sample k unit rows with pairwise min(|wi - wj|, |wi + wj|) >= alpha0.
 
     Rejection-resamples the whole matrix; gives up after 10^4 attempts, which
-    means alpha0 is infeasible for this (k, d).  For k >= 2 it can never exceed
-    sqrt(2): for unit rows |wi - wj|^2 + |wi + wj|^2 = 4.
+    means alpha0 is infeasible for this (k, d).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if alpha0 < 0.0:
-        raise ValueError("alpha0 must be nonnegative")
-    gen = _as_generator(rng)
+    _check_instance(k, d, alpha0, sigma)
     for _ in range(MAX_GEN_ATTEMPTS):
-        w = _unit_rows(gen, k, d)
+        w = _unit_rows(rng, k, d)
         if k == 1 or alpha0 == 0.0:
-            return Instance(truth=ReluNetwork(w), sigma=sigma, alpha0=alpha0)
+            return Instance(truth=ReluNetwork(w), sigma=sigma)
         diff = np.linalg.norm(w[:, None, :] - w[None, :, :], axis=2)
         summ = np.linalg.norm(w[:, None, :] + w[None, :, :], axis=2)
         sep = np.minimum(diff, summ)
         iu = np.triu_indices(k, 1)
         if sep[iu].min() >= alpha0:
-            return Instance(truth=ReluNetwork(w), sigma=sigma, alpha0=alpha0)
+            return Instance(truth=ReluNetwork(w), sigma=sigma)
     raise GenerationError(
         f"no instance with separation {alpha0} found for k={k}, d={d} in {MAX_GEN_ATTEMPTS} attempts"
     )
 
 
-def sample_arms(m: int, d: int, rng) -> np.ndarray:
+def sample_arms(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _unit_rows(_as_generator(rng), m, d)
+    return _unit_rows(rng, m, d)
 
 
 def run_trial(
@@ -120,7 +144,7 @@ def run_trial(
     agent_cfg: AgentConfig,
     T: int,
     m: int,
-    rng,
+    rng: np.random.Generator,
     *,
     trial_seed: int = -1,
     agent: _SequentialAgent | None = None,
@@ -138,8 +162,7 @@ def run_trial(
         raise ValueError("T must be at least 1")
     if fixed_arms is not None:
         fixed_arms = _as_unit_rows(fixed_arms, "fixed_arms", instance.truth.d)
-    gen = _as_generator(rng)
-    arms_rng, noise_rng, agent_rng = gen.spawn(3)
+    arms_rng, noise_rng, agent_rng = rng.spawn(3)
     if agent is None:
         agent = make_agent(agent_cfg, instance.truth.k, instance.truth.d, T)
     chosen = np.empty(T, dtype=np.int64)
@@ -192,3 +215,28 @@ def aggregate(traces: list[TrialTrace]) -> AggregateResult:
         ci_half=half,
         n_trials=len(traces),
     )
+
+
+def _run_cell(args: tuple[ExperimentConfig, int, int, Instance]) -> TrialTrace:
+    cfg, algo_idx, trial, inst = args
+    env_rng = _stream(cfg.seed, trial, 1)
+    return run_trial(inst, cfg.algorithms[algo_idx], cfg.T, cfg.arms_per_round, env_rng, trial_seed=trial)
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialTrace], list[AggregateResult]]:
+    """Run every (algorithm, trial) cell; results are independent of jobs.
+
+    Each trial's instance is drawn once, here, and handed to every cell of
+    that trial.  The pool has at most one worker per cell.
+    """
+    insts = [gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, _stream(cfg.seed, t, 0)) for t in range(cfg.trials)]
+    cells = [(cfg, a, t, insts[t]) for a in range(len(cfg.algorithms)) for t in range(cfg.trials)]
+    if jobs <= 1:
+        traces = [_run_cell(c) for c in cells]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: multiprocessing is slow to import
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            traces = list(pool.map(_run_cell, cells))  # in cell order
+    n = cfg.trials
+    return traces, [aggregate(traces[a * n : (a + 1) * n]) for a in range(len(cfg.algorithms))]

@@ -140,7 +140,7 @@ class TestOfulAgent:
         A = rng.standard_normal((50, d))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         A[A @ theta < 0] *= -1.0  # reward is exactly linear on this half-space
-        inst = Instance(truth=ReluNetwork(theta[None, :]), sigma=0.01, alpha0=0.0)
+        inst = Instance(truth=ReluNetwork(theta[None, :]), sigma=0.01)
         cfg = OfulConfig(ucb=UcbConfig(sigma=0.01, S=1.0, delta=1.0 / math.sqrt(500.0), lam=0.01))
         return inst, cfg, A
 
@@ -170,7 +170,7 @@ class TestOfuReluAgent:
     def test_noiseless_lock_in(self):
         # two antipodal arms, one active neuron: zero regret after warmup
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
-        inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.0)
         arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
         cfg = OfuReluConfig(t0=5, ucb=UcbConfig(sigma=0.0, S=math.sqrt(5.0), delta=0.1, lam=1.0), fit=FIT)
         tr = run_trial(inst, cfg, 40, 2, np.random.default_rng(0), fixed_arms=arms)
@@ -180,14 +180,14 @@ class TestOfuReluAgent:
 
     def test_regret_bounded_by_k(self):
         truth = ReluNetwork(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.1)
         cfg = OfuReluConfig(t0=8, ucb=UCB, fit=FIT)
         tr = run_trial(inst, cfg, 30, 20, np.random.default_rng(1))
         assert np.all(tr.inst_regret <= 2.0 + 1e-12)  # k = 2
 
     def test_fit_happens_at_t0(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
-        inst = Instance(truth=truth, sigma=0.05, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.05)
         agent = OfuReluAgent(1, 2, 20, OfuReluConfig(t0=6, ucb=UCB, fit=FIT))
         arms = sample_arms(10, 2, np.random.default_rng(5))
         rng = np.random.default_rng(6)
@@ -202,7 +202,7 @@ class TestOfuReluAgent:
         # never leaves the exploration phase: picks match a plain random agent;
         # the window is clamped to T = 12, so the fit still runs at round T
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
-        inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.0)
         agent = OfuReluAgent(1, 2, 12, OfuReluConfig(t0=t0, ucb=UCB, fit=FIT))
         a = run_trial(inst, None, 12, 6, np.random.default_rng(7), agent=agent)
         b = run_trial(inst, RandomConfig(), 12, 6, np.random.default_rng(7))
@@ -212,7 +212,7 @@ class TestOfuReluAgent:
 
     def test_ridge_counts_only_post_t0(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
-        inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.1)
         agent = OfuReluAgent(1, 2, 20, OfuReluConfig(t0=5, ucb=UCB, fit=FIT))
         run_trial(inst, None, 20, 8, np.random.default_rng(8), agent=agent)
         assert agent.ridge.count == 15
@@ -221,7 +221,7 @@ class TestOfuReluAgent:
         # nu/2 = 1 keeps only arms with |w.x| >= 1: none, so every UCB round
         # falls back to the full set
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
-        inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.1)
         agent = OfuReluAgent(1, 2, 14, OfuReluConfig(t0=4, ucb=UCB, fit=FIT, nu=2.0))
         tr = run_trial(inst, None, 14, 8, np.random.default_rng(9), agent=agent)
         assert agent.fallback_rounds == 10
@@ -233,7 +233,7 @@ class TestOfuReluAgent:
         rng = np.random.default_rng(10)
         truth = ReluNetwork(np.array([[1.0, 0.0], [0.0, 1.0]]))
         monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg: truth)
-        inst = Instance(truth=truth, sigma=0.05, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.05)
         ucb = UcbConfig(sigma=0.05, S=math.sqrt(10.0), delta=0.02, lam=1.0)
         cfg = OfuReluConfig(t0=1, ucb=ucb, fit=FIT, nu=0.0)
         agent = OfuReluAgent(2, 2, 60, cfg)
@@ -276,7 +276,7 @@ class TestOfuReluSelectMatchesReference:
         rng = np.random.default_rng(21)
         w = rng.standard_normal((3, 2))
         truth = ReluNetwork(w / np.linalg.norm(w, axis=1, keepdims=True))
-        inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.1)
         arms = sample_arms(200, 2, rng)
         cfg = OfuReluConfig(t0=10, ucb=UCB, fit=FIT, nu=nu)
         agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
@@ -305,7 +305,7 @@ class TestOfuReluSelectMatchesReference:
         arms = np.concatenate([special, sample_arms(8, 2, np.random.default_rng(23))])
         proj = arms @ w.T
         assert proj[0, 0] == edge and (proj[1:3, 0] == 0.0).all() and proj[3, 1] == 0.0
-        inst = Instance(truth=est, sigma=0.1, alpha0=0.0)
+        inst = Instance(truth=est, sigma=0.1)
         cfg = OfuReluConfig(t0=10, ucb=UCB, fit=FIT, nu=nu)
         agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
         a = run_trial(inst, None, 60, len(arms), np.random.default_rng(24), agent=agent, fixed_arms=arms)
@@ -372,7 +372,7 @@ class TestOfuReluPlusAgent:
         w = rng.standard_normal((k, d))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         truth = ReluNetwork(w)
-        inst = Instance(truth=truth, sigma=sigma, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=sigma)
         cfg = cfg or plus_config(override, k=k, d=d)
         agent = OfuReluAgent(k, d, T, cfg)
         tr = run_trial(inst, None, T, 10, np.random.default_rng(seed + 1), agent=agent)

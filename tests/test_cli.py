@@ -32,6 +32,7 @@ from oracles import (
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GRID_RANGE = "algorithms[0]: a value is out of floating-point range"
+HUGE_INT = 10**400  # a JSON integer that float() cannot convert
 
 TINY = {
     "k": 1,
@@ -367,8 +368,8 @@ class TestSimulate:
 
     def test_one_instance_per_trial(self, monkeypatch):
         drawn = []
-        gen_instance = cli.gen_instance
-        monkeypatch.setattr(cli, "gen_instance", lambda *a: drawn.append(a) or gen_instance(*a))
+        gen_instance = harness.gen_instance
+        monkeypatch.setattr(harness, "gen_instance", lambda *a: drawn.append(a) or gen_instance(*a))
         cfg = parse_experiment_config(dict(TINY, T=12, algorithms=TINY["algorithms"][:3]))
         traces, aggs = run_experiment(cfg, jobs=1)
         assert len(drawn) == 2  # 3 algorithms x 2 trials, one draw per trial
@@ -376,6 +377,33 @@ class TestSimulate:
             (a, t) for a in ("random", "oful", "ofu_relu") for t in (0, 1)
         ]
         assert [agg.algorithm for agg in aggs] == ["random", "oful", "ofu_relu"]
+
+    @pytest.mark.parametrize("jobs", [2, 5000])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, jobs):
+        # a fake pool that records its size and maps serially: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = parse_experiment_config(dict(TINY, T=12, algorithms=[{"name": "random"}]))
+        traces, _ = run_experiment(cfg, jobs=jobs)
+        assert sizes == [2]  # 1 algorithm x 2 trials
+        serial, _ = run_experiment(cfg, jobs=1)
+        assert [tr.chosen.tobytes() for tr in traces] == [tr.chosen.tobytes() for tr in serial]
 
     def test_unknown_top_key_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, typo_key=1))
@@ -401,12 +429,15 @@ class TestSimulate:
             ({"alpha0": math.inf}, "alpha0"),
             ({"algorithms": [{"name": "oful", "lambda": math.nan}]}, "lambda"),
             ({"algorithms": [{"name": "ofu_relu", "fit": {"step_size": -math.inf}}]}, "step_size"),
+            ({"sigma": HUGE_INT}, "sigma"),
+            ({"algorithms": [{"name": "oful", "lambda": HUGE_INT}]}, "lambda"),
         ],
     )
     def test_nonfinite_number_exit2(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, **override))
         raw = (tmp_path / "cfg.json").read_text()
-        assert "NaN" in raw or "Infinity" in raw  # json writes the non-standard literals
+        # json writes the non-standard literals, and an integer beyond any float as its digits
+        assert "NaN" in raw or "Infinity" in raw or str(HUGE_INT) in raw
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "finite" in err
@@ -469,6 +500,17 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 1
         assert "no instance with separation" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_run_keeps_a_directory_it_did_not_make(self, tmp_path, capsys):
+        # numpy cannot allocate a 10**30-round trace; the run fails at its first trial
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, T=10**30, algorithms=[{"name": "random"}]))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert not (tmp_path / "o").exists()
+        (tmp_path / "given").mkdir()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "given"), "--jobs", "1"]) == 2
+        assert (tmp_path / "given").is_dir()
+        capsys.readouterr()
 
     def test_alpha0_above_sqrt2_exit2_before_output(self, tmp_path, capsys):
         bad = dict(TINY, k=2, alpha0=2.1, algorithms=[{"name": "random"}])
@@ -522,9 +564,10 @@ class TestEstimate:
         assert "bogus" in capsys.readouterr().err
 
     def test_nonfinite_delta_exit2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": math.nan})
-        assert main(["estimate", "--config", cfg]) == 2
-        assert "'delta'" in capsys.readouterr().err
+        for delta in (math.nan, HUGE_INT):  # an integer beyond any float is not finite either
+            cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": delta})
+            assert main(["estimate", "--config", cfg]) == 2
+            assert "'delta'" in capsys.readouterr().err
 
     def test_boolean_sample_size_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": [True]})

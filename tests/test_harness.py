@@ -53,8 +53,23 @@ class TestGenInstance:
                 assert sep >= 0.2
 
     def test_impossible_separation(self):
+        # 1.2 is below sqrt(2), but three unit rows in the plane separate by
+        # at most 2 sin(pi/6) = 1, so every attempt is rejected
         with pytest.raises(GenerationError):
-            gen_instance(2, 2, 2.1, 0.1, np.random.default_rng(2))
+            gen_instance(3, 2, 1.2, 0.1, np.random.default_rng(2))
+
+    @pytest.mark.parametrize(
+        "k,d,alpha0,sigma,name",
+        [(0, 2, 0.0, 0.1, "k"), (2, 1, 0.0, 0.1, "d"), (2, 2, 0.0, -0.1, "sigma"), (2, 2, 0.0, np.nan, "sigma"),
+         (2, 2, -0.1, 0.1, "alpha0"), (2, 2, 2.1, 0.1, "alpha0")],
+    )
+    def test_bad_input_rejected_before_drawing(self, k, d, alpha0, sigma, name):
+        # alpha0 above sqrt(2) is infeasible for k >= 2 and fails at once
+        gen = np.random.default_rng(2)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            gen_instance(k, d, alpha0, sigma, gen)
+        assert gen.bit_generator.state == state
 
     @pytest.mark.parametrize(
         "k,d,alpha0",
@@ -71,8 +86,8 @@ class TestGenInstance:
             assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_deterministic(self):
-        a = gen_instance(3, 2, 0.2, 0.1, 5)
-        b = gen_instance(3, 2, 0.2, 0.1, 5)
+        a = gen_instance(3, 2, 0.2, 0.1, np.random.default_rng(5))
+        b = gen_instance(3, 2, 0.2, 0.1, np.random.default_rng(5))
         np.testing.assert_array_equal(a.truth.weights, b.truth.weights)
 
     def test_d1_rejected(self):
@@ -81,7 +96,7 @@ class TestGenInstance:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            Instance(truth=ReluNetwork(np.array([[1.0, 0.0]])), sigma=-0.1, alpha0=0.0)
+            Instance(truth=ReluNetwork(np.array([[1.0, 0.0]])), sigma=-0.1)
 
 
 class TestSampleArms:
@@ -113,7 +128,7 @@ class TestSampleArms:
 class TestRunTrial:
     def _coin_flip_setup(self):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
-        inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.0)
         arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
         return inst, arms
 
@@ -133,13 +148,13 @@ class TestRunTrial:
 
     def test_regret_nonnegative(self):
         truth = ReluNetwork(np.array([[0.6, 0.8], [0.0, 1.0]]))
-        inst = Instance(truth=truth, sigma=0.3, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.3)
         tr = run_trial(inst, RandomConfig(), 200, 15, np.random.default_rng(11))
         assert np.all(tr.inst_regret >= 0.0)
 
     def test_deterministic_under_seed(self):
         truth = ReluNetwork(np.array([[0.6, 0.8]]))
-        inst = Instance(truth=truth, sigma=0.1, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.1)
         a = run_trial(inst, RandomConfig(), 50, 8, np.random.default_rng(12))
         b = run_trial(inst, RandomConfig(), 50, 8, np.random.default_rng(12))
         np.testing.assert_array_equal(a.chosen, b.chosen)
@@ -148,7 +163,7 @@ class TestRunTrial:
 
     def test_comparator_is_global_best_on_fixed_arms(self):
         truth = ReluNetwork(np.array([[0.6, 0.8], [-0.8, 0.6]]))
-        inst = Instance(truth=truth, sigma=0.0, alpha0=0.0)
+        inst = Instance(truth=truth, sigma=0.0)
         arms = sample_arms(20, 2, np.random.default_rng(13))
         tr = run_trial(inst, RandomConfig(), 60, 20, np.random.default_rng(14), fixed_arms=arms)
         best = eval_f_batch(truth, arms).max()
