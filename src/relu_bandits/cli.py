@@ -2,9 +2,8 @@
 
 Config files are strict JSON: unknown keys are rejected with a field-level
 message and exit code 2, so typos cannot silently fall back to defaults.
-Each command parses and checks its input, then hands the run to the harness,
-which derives every random stream from the master seed; ``simulate`` then
-writes the artifacts.
+``simulate`` and ``estimate`` parse and check their input, then draw through
+the harness, which derives every random stream from the master seed.
 """
 
 from __future__ import annotations

@@ -502,7 +502,7 @@ class TestSimulate:
         assert "no instance with separation" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_failed_run_keeps_a_directory_it_did_not_make(self, tmp_path, capsys):
+    def test_failed_run_removes_only_the_empty_directory_it_made(self, tmp_path, capsys):
         # numpy cannot allocate a 10**30-round trace; the run fails at its first trial
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, T=10**30, algorithms=[{"name": "random"}]))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2

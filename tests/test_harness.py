@@ -60,14 +60,14 @@ class TestGenInstance:
 
     @pytest.mark.parametrize(
         "k,d,alpha0,sigma,name",
-        [(0, 2, 0.0, 0.1, "k"), (2, 1, 0.0, 0.1, "d"), (2, 2, 0.0, -0.1, "sigma"), (2, 2, 0.0, np.nan, "sigma"),
+        [(0, 2, 0.0, 0.1, "k"), (2, 2, 0.0, -0.1, "sigma"), (2, 2, 0.0, np.nan, "sigma"),
          (2, 2, -0.1, 0.1, "alpha0"), (2, 2, 2.1, 0.1, "alpha0")],
     )
     def test_bad_input_rejected_before_drawing(self, k, d, alpha0, sigma, name):
         # alpha0 above sqrt(2) is infeasible for k >= 2 and fails at once
         gen = np.random.default_rng(2)
         state = gen.bit_generator.state
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=rf"^{name}\b"):  # the message starts with the parameter
             gen_instance(k, d, alpha0, sigma, gen)
         assert gen.bit_generator.state == state
 
