@@ -5,19 +5,13 @@ The library splits into: the reward model and its lifted feature maps
 (estimation), a self-contained linear UCB engine (linear_ucb), the bandit
 policies built on top (agents), the experiment harness (harness), artifact
 writers (reporting) and a CLI (cli).
+
+The package root exports what configures, runs, scores and writes an
+experiment.  The agents, the UCB engine and the per-round kernels are
+imported from their modules.
 """
 
-from .agents import (
-    OfulAgent,
-    OfulConfig,
-    OfuReluAgent,
-    OfuReluConfig,
-    OfuReluPlusConfig,
-    RandomAgent,
-    RandomConfig,
-    build_batch_grid,
-    make_agent,
-)
+from .agents import OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig
 from .errors import (
     BoundVacuousError,
     ConfigError,
@@ -28,33 +22,10 @@ from .errors import (
     ProtocolError,
     UnsupportedDimensionError,
 )
-from .estimation import (
-    BoundParams,
-    FitConfig,
-    alpha_bound,
-    fit_erm,
-    h_bound,
-    match_neurons,
-    t0_schedule,
-    zeta_bound,
-)
-from .harness import (
-    AggregateResult,
-    Instance,
-    TrialTrace,
-    aggregate,
-    gen_instance,
-    run_trial,
-    sample_arms,
-)
-from .linear_ucb import LinearUcbState, UcbConfig, conf_radius, ridge_update, ucb_select
-from .relu_model import (
-    ReluNetwork,
-    eval_f_batch,
-    exact_argmax_2d,
-    margin_mask,
-    sign_robust_features_batch,
-)
+from .estimation import BoundParams, FitConfig, alpha_bound, fit_erm, h_bound, match_neurons, t0_schedule, zeta_bound
+from .harness import AggregateResult, Instance, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
+from .linear_ucb import UcbConfig
+from .relu_model import ReluNetwork, eval_f_batch
 from .reporting import emit_svg, export_csv, write_summary
 
 __all__ = [
@@ -67,15 +38,11 @@ __all__ = [
     "FitError",
     "GenerationError",
     "Instance",
-    "LinearUcbState",
     "NumericError",
-    "OfulAgent",
     "OfulConfig",
-    "OfuReluAgent",
     "OfuReluConfig",
     "OfuReluPlusConfig",
     "ProtocolError",
-    "RandomAgent",
     "RandomConfig",
     "ReluNetwork",
     "TrialTrace",
@@ -83,24 +50,16 @@ __all__ = [
     "UnsupportedDimensionError",
     "aggregate",
     "alpha_bound",
-    "build_batch_grid",
-    "conf_radius",
     "emit_svg",
     "eval_f_batch",
-    "exact_argmax_2d",
     "export_csv",
     "fit_erm",
     "gen_instance",
     "h_bound",
-    "margin_mask",
     "match_neurons",
-    "make_agent",
-    "ridge_update",
     "run_trial",
     "sample_arms",
-    "sign_robust_features_batch",
     "t0_schedule",
-    "ucb_select",
     "write_summary",
     "zeta_bound",
 ]

@@ -219,13 +219,18 @@ def cmd_simulate(args) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    made = not os.path.isdir(cfg.out_dir)
+    made, path = [], os.path.abspath(cfg.out_dir)
+    while not os.path.exists(path):  # the directories makedirs makes, innermost first
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(cfg.out_dir, exist_ok=True)  # before the run, so a path that cannot be made fails first
     try:
         traces, aggs = run_experiment(cfg, jobs)
     except BaseException:
-        if made and not os.listdir(cfg.out_dir):  # a failed run leaves no empty directory of its own
-            os.rmdir(cfg.out_dir)
+        for path in made:  # a failed run leaves no empty directory of its own
+            if not os.path.isdir(path) or os.listdir(path):
+                break
+            os.rmdir(path)
         raise
     export_csv(traces, os.path.join(cfg.out_dir, "traces.csv"))
     export_csv(aggs, os.path.join(cfg.out_dir, "aggregate.csv"))
@@ -240,6 +245,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _bound(name: str, given: str, bound) -> float | None:
+    """Evaluate one bound: None where it is vacuous, a ConfigError naming the inputs where it leaves the float range."""
+    try:  # a finite input can still over- or underflow the formula
+        value = bound()
+    except BoundVacuousError:
+        return None
+    except ArithmeticError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} is out of floating-point range at {given}")
+    return value
+
+
 def cmd_estimate(args) -> int:
     cfg = _parse(_load_json(args.config), ESTIMATE, "config")
     k, d, sigma, alpha0, delta, sizes = (cfg[key] for key in ("k", "d", "sigma", "alpha0", "delta", "sample_sizes"))
@@ -250,16 +268,19 @@ def cmd_estimate(args) -> int:
     if seed < 0 or not 0.0 < delta < 1.0:
         raise ConfigError("invalid estimate parameters (need seed >= 0, delta in (0,1))")
     fit = _fit_config(cfg["fit"], "config.fit")
+    p = BoundParams(k=k, d=d, sigma=sigma, delta=delta, T=3.0)  # T enters t0_schedule only
+    bounds = []  # every bound is evaluated and checked before the first draw
+    for n in sizes:
+        given = f"k={k}, d={d}, sigma={sigma:g}, delta={delta:g}, n={n}"
+        zeta = _bound("zeta", given, lambda: zeta_bound(n, p))
+        bounds.append((zeta, _bound("alpha", given, lambda: alpha_bound(zeta, p))))
     inst = gen_instance(k, d, alpha0, sigma, _stream(seed, 0, 0))
     data_rng = _stream(seed, 0, 1)
-    for n in sizes:
+    for n, (zeta, alpha) in zip(sizes, bounds):
         xs = sample_arms(n, d, data_rng)
         ys = eval_f_batch(inst.truth, xs) + sigma * data_rng.standard_normal(n)
         est = fit_erm(xs, ys, k, fit)
         res = match_neurons(est, inst.truth)
-        p = BoundParams(k=k, d=d, sigma=sigma, delta=delta, T=float(max(n, 3)))
-        zeta = zeta_bound(n, p)
-        alpha = alpha_bound(zeta, p)
         print(f"n={n}")
         for i in range(k):
             sgn = "+" if res.signs[i] > 0 else "-"
@@ -272,16 +293,9 @@ def cmd_estimate(args) -> int:
 def cmd_check_bounds(args) -> int:
     if not all(map(math.isfinite, (args.sigma, args.delta, args.nu, args.C1, args.C2))):
         raise ConfigError("sigma, delta, nu, C1 and C2 must be finite")
-    if args.k < 1 or args.d < 2:
-        raise ConfigError("need k >= 1 and d >= 2")
+    _check_instance(args.k, args.d, 0.0, args.sigma)
     if not 0.0 < args.delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
-    if args.sigma < 0.0:
-        raise ConfigError("sigma must be nonnegative")
-    if args.nu <= 0.0:
-        raise ConfigError("nu must be positive")
-    if args.n < 1:
-        raise ConfigError("n must be at least 1")
     p = BoundParams(k=args.k, d=args.d, sigma=args.sigma, delta=args.delta, T=float(args.T), C1=args.C1, C2=args.C2)
     bounds = {}  # every bound is evaluated and checked before anything prints
     formulas = [
@@ -295,16 +309,7 @@ def cmd_check_bounds(args) -> int:
             for eps in (0.001, 0.002, 0.003)
         ]
     for name, flags, bound in formulas:
-        try:  # a finite input can still over- or underflow the formula
-            bounds[name] = bound()
-        except BoundVacuousError:
-            bounds[name] = None
-            continue
-        except ArithmeticError:
-            bounds[name] = math.inf
-        if not math.isfinite(bounds[name]):
-            given = ", ".join(f"--{f}={getattr(args, f):g}" for f in flags.split())
-            raise ConfigError(f"{name} is out of floating-point range at {given}")
+        bounds[name] = _bound(name, ", ".join(f"--{f}={getattr(args, f):g}" for f in flags.split()), bound)
     for name, value in bounds.items():
         print(f"{name} vacuous (nonpositive denominator)" if value is None else f"{name} {value:.12g}")
     if args.d < 3:

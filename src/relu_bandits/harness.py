@@ -99,15 +99,18 @@ def _stream(seed: int, trial: int, tag: int) -> np.random.Generator:
 
 
 def _check_instance(k: int, d: int, alpha0: float, sigma: float) -> None:
-    """The instance-input rule: k >= 1, d >= 2, sigma >= 0 and alpha0 >= 0, at most sqrt(2) for k >= 2.
+    """The instance-input rule: k >= 1, d >= 2, sigma >= 0 and alpha0 >= 0, at most the separation k rows reach.
 
-    For unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2).
+    For unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2).  In the
+    plane, k >= 3 rows are k lines through the origin, two of which meet at an angle of at most pi/k,
+    so they separate by at most 2 sin(pi/(2k)).  At k = 2 that form rounds 1 ulp below sqrt(2).
     """
     for name, value, low in (("k", k, 1), ("d", d, 2), ("sigma", sigma, 0), ("alpha0", alpha0, 0)):
         if not value >= low:  # NaN fails too
             raise ValueError(f"{name} must be at least {low}")
-    if k >= 2 and alpha0 > math.sqrt(2.0):
-        raise ValueError(f"alpha0={alpha0} is infeasible: with k >= 2 it can be at most sqrt(2)")
+    top = 2.0 * math.sin(math.pi / (2 * k)) if d == 2 and k >= 3 else math.sqrt(2.0)
+    if k >= 2 and alpha0 > top:
+        raise ValueError(f"alpha0={alpha0} is infeasible: {k} unit rows in d={d} separate by at most {top}")
 
 
 def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng: np.random.Generator) -> Instance:

@@ -23,25 +23,20 @@ from relu_bandits import (
     BoundParams,
     FitConfig,
     Instance,
-    LinearUcbState,
-    OfuReluAgent,
     OfuReluPlusConfig,
     ReluNetwork,
     UcbConfig,
-    build_batch_grid,
     eval_f_batch,
-    exact_argmax_2d,
     gen_instance,
     h_bound,
-    margin_mask,
     match_neurons,
-    ridge_update,
     sample_arms,
-    sign_robust_features_batch,
     t0_schedule,
-    ucb_select,
     zeta_bound,
 )
+from relu_bandits.agents import OfuReluAgent, build_batch_grid
+from relu_bandits.linear_ucb import LinearUcbState, ridge_update, ucb_select
+from relu_bandits.relu_model import exact_argmax_2d, margin_mask, sign_robust_features_batch
 from relu_bandits.cli import parse_experiment_config, run_experiment
 
 from oracles import (

@@ -8,28 +8,21 @@ from relu_bandits import (
     ConfigError,
     FitConfig,
     Instance,
-    LinearUcbState,
-    OfuReluAgent,
     OfuReluConfig,
     OfuReluPlusConfig,
-    OfulAgent,
     OfulConfig,
     ProtocolError,
-    RandomAgent,
     RandomConfig,
     ReluNetwork,
     BoundParams,
     UcbConfig,
-    build_batch_grid,
-    conf_radius,
     eval_f_batch,
-    make_agent,
-    margin_mask,
-    ridge_update,
     run_trial,
     sample_arms,
-    sign_robust_features_batch,
 )
+from relu_bandits.agents import OfuReluAgent, OfulAgent, RandomAgent, build_batch_grid, make_agent
+from relu_bandits.linear_ucb import LinearUcbState, conf_radius, ridge_update
+from relu_bandits.relu_model import margin_mask, sign_robust_features_batch
 
 from oracles import margin_ucb_select_reference
 

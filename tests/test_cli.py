@@ -494,9 +494,9 @@ class TestSimulate:
         capsys.readouterr()
 
     def test_infeasible_alpha0_exit1(self, tmp_path, capsys):
-        # 1.2 <= sqrt(2) passes the parse, but three unit rows in the plane
-        # separate by at most 2 sin(pi/6) = 1, so instance generation gives up
-        bad = dict(TINY, k=3, d=2, alpha0=1.2, algorithms=[{"name": "random"}])
+        # 0.999 passes the planar bound 2 sin(pi/6) = 1, but almost no uniform
+        # draw of three rows reaches it, so instance generation gives up
+        bad = dict(TINY, k=3, d=2, alpha0=0.999, algorithms=[{"name": "random"}])
         cfg = write_config(tmp_path / "cfg.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 1
         assert "no instance with separation" in capsys.readouterr().err
@@ -510,6 +510,10 @@ class TestSimulate:
         (tmp_path / "given").mkdir()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "given"), "--jobs", "1"]) == 2
         assert (tmp_path / "given").is_dir()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "nest" / "a" / "b"), "--jobs", "1"]) == 2
+        assert not (tmp_path / "nest").exists()  # every directory the run made, innermost first
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "given" / "a" / "b"), "--jobs", "1"]) == 2
+        assert (tmp_path / "given").is_dir() and not (tmp_path / "given" / "a").exists()  # the empty parent stays
         capsys.readouterr()
 
     def test_alpha0_above_sqrt2_exit2_before_output(self, tmp_path, capsys):
@@ -585,6 +589,16 @@ class TestEstimate:
         assert main(["estimate", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert "alpha0" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key,value,given", [("delta", 1e-320, " delta="), ("sigma", 1e200, " sigma="), ("sample_sizes", [HUGE_INT], " n=")]
+    )
+    def test_bound_out_of_float_range_exit2(self, key, value, given, tmp_path, capsys):
+        # zeta overflows (4/delta, sigma^2, or 1/n); it is checked before the first draw, as check-bounds checks it
+        cfg = write_config(tmp_path / "est.json", {"k": 2, "d": 3, "sample_sizes": [50], key: value})
+        assert main(["estimate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zeta is out of floating-point range" in captured.err and given in captured.err
 
     def test_fit_range_error_names_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "fit": {"restarts": 0}})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from relu_bandits import (
     GenerationError,
     Instance,
     ProtocolError,
-    RandomAgent,
     RandomConfig,
     ReluNetwork,
     TrialTrace,
@@ -15,6 +16,8 @@ from relu_bandits import (
     run_trial,
     sample_arms,
 )
+from relu_bandits.agents import RandomAgent
+from relu_bandits.harness import _check_instance
 
 from oracles import gen_instance_reference, sample_arms_reference
 
@@ -53,23 +56,31 @@ class TestGenInstance:
                 assert sep >= 0.2
 
     def test_impossible_separation(self):
-        # 1.2 is below sqrt(2), but three unit rows in the plane separate by
-        # at most 2 sin(pi/6) = 1, so every attempt is rejected
+        # 0.999 is below the planar bound 2 sin(pi/6) = 1, but almost no
+        # uniform draw of three rows reaches it, so every attempt is rejected
         with pytest.raises(GenerationError):
-            gen_instance(3, 2, 1.2, 0.1, np.random.default_rng(2))
+            gen_instance(3, 2, 0.999, 0.1, np.random.default_rng(2))
 
     @pytest.mark.parametrize(
         "k,d,alpha0,sigma,name",
         [(0, 2, 0.0, 0.1, "k"), (2, 2, 0.0, -0.1, "sigma"), (2, 2, 0.0, np.nan, "sigma"),
-         (2, 2, -0.1, 0.1, "alpha0"), (2, 2, 2.1, 0.1, "alpha0")],
+         (2, 2, -0.1, 0.1, "alpha0"), (2, 2, 2.1, 0.1, "alpha0"), (3, 2, 1.2, 0.1, "alpha0"),
+         (3, 2, 1.0, 0.1, "alpha0")],
     )
     def test_bad_input_rejected_before_drawing(self, k, d, alpha0, sigma, name):
-        # alpha0 above sqrt(2) is infeasible for k >= 2 and fails at once
+        # alpha0 above sqrt(2) is infeasible for k >= 2, and above 2 sin(pi/(2k))
+        # for k >= 3 in the plane (at k = 3 the float bound is 0.9999999999999999,
+        # so 1.0 is out), and fails at once
         gen = np.random.default_rng(2)
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match=rf"^{name}\b"):  # the message starts with the parameter
             gen_instance(k, d, alpha0, sigma, gen)
         assert gen.bit_generator.state == state
+
+    def test_planar_bound_keeps_sqrt2_at_k2(self):
+        # 2 sin(pi/4) rounds 1 ulp below sqrt(2), so two rows keep sqrt(2) in the plane too
+        _check_instance(2, 2, math.sqrt(2.0), 0.1)
+        _check_instance(3, 3, math.sqrt(2.0), 0.1)
 
     @pytest.mark.parametrize(
         "k,d,alpha0",

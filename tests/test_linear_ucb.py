@@ -5,16 +5,11 @@ import pytest
 
 from relu_bandits import (
     DimensionMismatchError,
-    LinearUcbState,
     ReluNetwork,
     UcbConfig,
-    conf_radius,
-    ridge_update,
-    sign_robust_features_batch,
-    ucb_select,
 )
-from relu_bandits.linear_ucb import LAMBDA_MIN, REFACTOR_EVERY
-from relu_bandits.relu_model import _row_sum
+from relu_bandits.linear_ucb import LAMBDA_MIN, REFACTOR_EVERY, LinearUcbState, conf_radius, ridge_update, ucb_select
+from relu_bandits.relu_model import _row_sum, sign_robust_features_batch
 
 from oracles import (
     ellipsoid_max_index,

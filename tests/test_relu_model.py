@@ -8,11 +8,8 @@ from relu_bandits import (
     ReluNetwork,
     UnsupportedDimensionError,
     eval_f_batch,
-    exact_argmax_2d,
-    margin_mask,
-    sign_robust_features_batch,
 )
-from relu_bandits.relu_model import _row_sum
+from relu_bandits.relu_model import _row_sum, exact_argmax_2d, margin_mask, sign_robust_features_batch
 
 from oracles import (
     eval_f_batch_reference,
