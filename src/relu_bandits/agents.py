@@ -15,10 +15,10 @@ Policies:
   t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no gap
   knowledge: a geometric batch grid shrinks the assumed gap batch by batch,
   explored rows accumulate across batches, and each refit rebuilds the
-  ridge by replaying the history under the fresh estimate.  The one policy
-  difference is data: OFU-ReLU's ridge replays from round t0 + 1, because
-  its exploration rows feed the fit only, while OFU-ReLU+'s replays every
-  round.
+  ridge from the history, lifted under the fresh estimate, as one block.
+  The one policy difference is data: OFU-ReLU's ridge replays from round
+  t0 + 1, because its exploration rows feed the fit only, while
+  OFU-ReLU+'s replays every round.
 * ``OfulAgent``: plain linear UCB on the raw d-dimensional arms, the
   deliberately misspecified baseline.
 * ``RandomAgent``: uniform choice, the sanity floor.
@@ -31,6 +31,7 @@ surrogate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,9 +241,10 @@ class OfuReluAgent(_SequentialAgent):
     history of its T rounds: chosen rows, rewards and an explored flag.
     Within batch i the first explore_sizes[i] rounds sample uniformly; the
     last of them refits the model on every explored round so far and
-    rebuilds the 2kd ridge state by replaying the history from the replay
-    start under the new estimate (features of past actions change with the
-    estimate, so the state cannot be patched across a refit).
+    rebuilds the 2kd ridge state from the history from the replay start,
+    lifted under the new estimate and absorbed as one block (features of past
+    actions change with the estimate, so the state cannot be patched across
+    a refit).
     Between refits every later round also enters the ridge incrementally, so
     the state always equals that replay under the current estimate.
 
@@ -290,10 +292,8 @@ class OfuReluAgent(_SequentialAgent):
         return self._actions[: self._t].copy(), self._rewards[: self._t].copy()
 
     def _batch_of(self, t: int) -> int:
-        for i in range(self.grid.M):
-            if t <= self.grid.boundaries[i + 1]:
-                return i
-        return self.grid.M - 1
+        # the first batch i with t <= boundaries[i + 1]; the last batch past T
+        return bisect_left(self.grid.boundaries, t, 1, self.grid.M) - 1
 
     def _select(self, arms, rng, t):
         i = self._batch_of(t)
@@ -304,12 +304,14 @@ class OfuReluAgent(_SequentialAgent):
             return int(rng.integers(len(arms)))
         proj = arms @ self._estimate.weights.T  # one projection serves the filter and the lift
         mask = margin_mask(proj, self.grid.nus[i] / 2.0)
-        kept = None  # None: every arm, without copying them
-        if not mask.any():
+        kept = np.flatnonzero(mask)
+        if len(kept) == len(arms):
+            kept = None  # every arm, without copying them
+        elif not len(kept):
             self.fallback_rounds += 1
-        elif not mask.all():
-            kept = np.flatnonzero(mask)
-            arms, proj = arms[kept], proj[kept]
+            kept = None
+        else:
+            arms, proj = arms.take(kept, axis=0), proj.take(kept, axis=0)
         feats = sign_robust_features_batch(arms, proj)
         j = ucb_select(self._ridge, self._cfg.ucb, feats)
         self._pending_features = feats[j]
@@ -341,8 +343,7 @@ class OfuReluAgent(_SequentialAgent):
         self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
         self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start
-        for row, reward in zip(self._lift(X[start:]), y[start:]):
-            ridge_update(self._ridge, row, reward)
+        ridge_update(self._ridge, self._lift(X[start:]), y[start:])  # the whole replay as one block
 
 
 AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig

@@ -293,6 +293,9 @@ def cmd_estimate(args) -> int:
 def cmd_check_bounds(args) -> int:
     if not all(map(math.isfinite, (args.sigma, args.delta, args.nu, args.C1, args.C2))):
         raise ConfigError("sigma, delta, nu, C1 and C2 must be finite")
+    for flag in ("k", "d", "T", "n"):  # the bounds take them as floats
+        if abs(getattr(args, flag)) > sys.float_info.max:
+            raise ConfigError(f"--{flag} is out of floating-point range")
     _check_instance(args.k, args.d, 0.0, args.sigma)
     if not 0.0 < args.delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")

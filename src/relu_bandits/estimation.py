@@ -117,9 +117,12 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
     live, w = np.arange(cfg.restarts), W.copy()  # the restarts still descending, and their rows
     for _ in range(cfg.max_iters):
         p = w @ X.T  # (L, k, n); the stacked matmul makes each restart's own BLAS call
-        resid = np.where(p >= 0.0, p, 0.0).sum(axis=1) - y
-        grad = (2.0 / n) * (((p > 0.0) * resid[:, None, :]) @ X)  # (L, k, d)
-        step = w - cfg.step_size * grad
+        resid = np.maximum(p, 0.0).sum(axis=1)
+        resid -= y
+        grad = ((p > 0.0) * resid[:, None, :]) @ X  # (L, k, d)
+        grad *= 2.0 / n
+        grad *= cfg.step_size
+        step = w - grad
         norms = np.sqrt((step * step).sum(axis=2, keepdims=True))  # what np.linalg.norm computes
         if norms.min() < 1e-12:  # a row collapsed onto the origin; restart it in place
             small = norms[..., 0] < 1e-12
@@ -127,7 +130,8 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
             norms = np.sqrt((step * step).sum(axis=2, keepdims=True))
         step /= norms
         moved = step - w
-        done = np.sqrt((moved * moved).reshape(len(live), k * d).sum(axis=1)) <= cfg.step_size * cfg.tol
+        moved *= moved
+        done = np.sqrt(moved.reshape(len(live), k * d).sum(axis=1)) <= cfg.step_size * cfg.tol
         if done.any():
             W[live[done]] = w[done]
             live, step = live[~done], step[~done]

@@ -9,8 +9,10 @@ arms and ellipsoid parameters for linear objectives.
 
 A state has one owner, which updates it in place with ``ridge_update``; an
 owner that must start over (an agent refitting its features) builds a fresh
-state and replays its rows into it.  The engine is policy-free; callers
-choose delta per phase (the agents here pass 1/sqrt(T)).
+state and absorbs its whole replay as one block of rows, which adds the
+block's Gram and moment sums and re-factorizes once: OFUL needs only V, b and
+log det V.  The engine is policy-free; callers choose delta per phase (the
+agents here pass 1/sqrt(T)).
 """
 
 from __future__ import annotations
@@ -65,26 +67,39 @@ class LinearUcbState:
         self.count = 0
 
 
-def _as_feature(x, dim: int) -> np.ndarray:
+def _as_features(x, dim: int) -> np.ndarray:
+    """One feature row, or an (n, dim) block of rows, as a finite float array."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != dim:
-        raise DimensionMismatchError(f"feature has shape {a.shape}, expected ({dim},)")
+    if a.ndim not in (1, 2) or a.shape[-1] != dim:
+        raise DimensionMismatchError(f"feature has shape {a.shape}, expected ({dim},) or (n, {dim})")
     if not np.isfinite(a).all():
         raise ValueError("feature contains non-finite entries")
     return a
 
 
-def ridge_update(state: LinearUcbState, x, y: float) -> None:
-    """Absorb one observation (x, y) into ``state`` in place.
+def ridge_update(state: LinearUcbState, x, y) -> None:
+    """Absorb one observation (x, y), or a block of them, into ``state`` in place.
 
-    A NumericError from the periodic re-factorization leaves the state
-    part-updated; it is not usable afterwards.
+    A row updates the inverse by Sherman-Morrison.  A block is an (n, dim)
+    array of rows with n rewards: it adds Phi^T Phi and Phi^T y at once and
+    re-factorizes; an empty block changes nothing.  A NumericError from a
+    re-factorization leaves the state part-updated; it is not usable afterwards.
     """
-    a = _as_feature(x, state.dim)
-    state.gram += a[:, None] * a  # np.outer(a, a), without its wrapper
-    state.moment += float(y) * a
-    state.count += 1
-    if state.count % REFACTOR_EVERY == 0:
+    a = _as_features(x, state.dim)
+    if a.ndim == 2:
+        rewards = np.asarray(y, dtype=np.float64)
+        if rewards.shape != (len(a),):
+            raise DimensionMismatchError(f"{len(a)} feature rows have rewards of shape {rewards.shape}")
+        if not len(a):
+            return
+        state.gram += a.T @ a
+        state.moment += rewards @ a
+        state.count += len(a)
+    else:
+        state.gram += a[:, None] * a  # np.outer(a, a), without its wrapper
+        state.moment += float(y) * a
+        state.count += 1
+    if a.ndim == 2 or state.count % REFACTOR_EVERY == 0:
         gram_inv = np.linalg.inv(state.gram)
         sign, state.logdet = np.linalg.slogdet(state.gram)
         if sign <= 0:

@@ -244,6 +244,15 @@ class TestCheckBounds:
         assert code == 2
         assert "--nu" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--k", "--d", "--T", "--n"])
+    def test_integer_out_of_float_range_exit2(self, flag, capsys):
+        # a 401-digit integer parses, but no bound can take it as a float
+        args = {"--k": "3", "--d": "3", flag: "9" * 401}
+        code = main(["check-bounds", *(part for item in args.items() for part in item)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{flag} is out of floating-point range" in captured.err
+
     @pytest.mark.parametrize(
         "flag,value,bound",
         [

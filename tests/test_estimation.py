@@ -170,6 +170,20 @@ class TestFitErmMatchesPerRestartLoop:
                 assert np.array_equal(got, want)
         assert failures > 0  # the non-finite-label cases were exercised
 
+    @pytest.mark.parametrize("k,n", [(3, 70), (10, 20)])  # plus-refit's last fit; fig2b's fit at t0 = 20
+    def test_shipped_fit_shapes_bit_identical(self, k, n):
+        # the randomized cases stop below 150 steps at k <= 5; these run the
+        # shipped FitConfig() defaults, 10 restarts of up to 600 steps
+        rng = np.random.default_rng(1000 * k + n)
+        truth = ReluNetwork(unit_rows(rng, k, 2))
+        X = unit_rows(rng, n, 2)
+        y = eval_f_batch(truth, X) + 0.1 * rng.standard_normal(n)
+        cfg = FitConfig()
+        got, want = self.both(X, y, k, cfg.restarts, cfg.max_iters, cfg.step_size, cfg.tol, cfg.seed)
+        assert want is not None and np.array_equal(got, want)
+        short, _ = self.both(X, y, k, cfg.restarts, 150, cfg.step_size, cfg.tol, cfg.seed)
+        assert not np.array_equal(got, short)  # steps past the randomized cases' range decided the fit
+
     def test_restarts_freeze_at_tol(self):
         rng = np.random.default_rng(4)
         truth = ReluNetwork(np.array([[0.6, 0.8]]))

@@ -180,6 +180,78 @@ class TestRidgeUpdate:
             assert s.count % REFACTOR_EVERY == ref.since_refactor
 
 
+class TestRidgeBlock:
+    """An (n, dim) block of rows with n rewards, as a refit's replay passes it."""
+
+    @staticmethod
+    def lifted(n, seed):
+        # OFU-ReLU+'s replay at k=3, d=2: lifted unit rows under an estimate, lambda 0.01
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((3, 2))
+        est = ReluNetwork(w / np.linalg.norm(w, axis=1, keepdims=True))
+        X = rng.standard_normal((n, 2))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        Phi = sign_robust_features_batch(X, X @ est.weights.T)
+        return Phi, Phi @ rng.standard_normal(12) + 0.1 * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [1, 70, REFACTOR_EVERY + 88])
+    def test_block_equals_row_replay(self, n):
+        Phi, y = self.lifted(n, 60 + n)
+        block, rows = LinearUcbState(12, lam=0.01), LinearUcbState(12, lam=0.01)
+        assert ridge_update(block, Phi, y) is None
+        for x, r in zip(Phi, y):
+            ridge_update(rows, x, r)
+        assert block.count == rows.count == n
+        for got, want in ((block.gram, rows.gram), (block.moment, rows.moment), (theta_of(block), theta_of(rows))):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert block.logdet == pytest.approx(rows.logdet, rel=1e-10)
+
+    def test_empty_block_changes_nothing(self):
+        s, fresh = LinearUcbState(12, lam=0.01), LinearUcbState(12, lam=0.01)
+        ridge_update(s, np.empty((0, 12)), np.empty(0))
+        for name in ("gram", "moment", "gram_inv"):
+            assert np.array_equal(getattr(s, name).view(np.uint64), getattr(fresh, name).view(np.uint64))
+        assert (s.logdet, s.count) == (fresh.logdet, 0)
+
+    @pytest.mark.parametrize(
+        "rows,rewards,err,match",
+        [
+            pytest.param(np.ones((3, 4)), np.ones(3), DimensionMismatchError, r"feature has shape \(3, 4\)", id="width"),
+            pytest.param(np.array([[1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]), np.ones(2), ValueError,
+                         "feature contains non-finite entries", id="non-finite"),
+            pytest.param(np.ones((3, 3)), np.ones(2), DimensionMismatchError, "rewards of shape", id="reward-count"),
+        ],
+    )
+    def test_bad_block_raises_the_row_errors(self, rows, rewards, err, match):
+        s = LinearUcbState(3)
+        with pytest.raises(err, match=match):
+            ridge_update(s, rows, rewards)
+        assert s.count == 0 and np.array_equal(s.gram, np.eye(3))  # rejected before any change
+
+    def test_refactor_cadence_holds_after_a_block(self, monkeypatch):
+        # a block re-factorizes at once; single rows after it still do at
+        # every multiple of REFACTOR_EVERY of the count, a second block again at once
+        counts = []
+        real_inv = np.linalg.inv
+        s = LinearUcbState(12, lam=0.01)
+
+        def counting_inv(a):
+            counts.append(s.count)
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        Phi, y = self.lifted(2 * REFACTOR_EVERY + 10, 5)
+        first, second = 500, 600
+        ridge_update(s, Phi[:first], y[:first])
+        for x, r in zip(Phi[first:second], y[first:second]):
+            ridge_update(s, x, r)
+        ridge_update(s, Phi[second:second + 100], y[second:second + 100])
+        for x, r in zip(Phi[second + 100:], y[second + 100:]):
+            ridge_update(s, x, r)
+        assert counts == [first, REFACTOR_EVERY, second + 100, 2 * REFACTOR_EVERY]
+        assert s.count == len(Phi)
+
+
 class TestConfRadius:
     def test_fresh_noise_free(self):
         s = LinearUcbState(4, lam=2.0)
