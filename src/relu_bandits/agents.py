@@ -343,7 +343,8 @@ class OfuReluAgent(_SequentialAgent):
         self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
         self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start
-        ridge_update(self._ridge, self._lift(X[start:]), y[start:])  # the whole replay as one block
+        if start < self._t:  # OFU-ReLU replays nothing; OFU-ReLU+ absorbs its whole replay as one block
+            ridge_update(self._ridge, self._lift(X[start:]), y[start:])
 
 
 AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig

@@ -85,12 +85,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _fits_float(v: int) -> bool:
+    """Whether float(v) succeeds: Python integers are unbounded, floats stop near 1.8e308."""
+    return abs(v) <= sys.float_info.max
+
+
 def _value(v, kind, key: str, where: str):
     """Type-check one value that the block sets; an integer is accepted as a float."""
     if kind is float and _is_int(v):
-        v = float(v) if abs(v) <= sys.float_info.max else math.inf  # float() would overflow; rejected below
+        v = float(v) if _fits_float(v) else math.inf  # float() would overflow; rejected below
     if kind is int and not _is_int(v):
         raise ConfigError(f"key '{key}' in {where} must be an integer")
+    if kind is int and not _fits_float(v):
+        raise ConfigError(f"key '{key}' in {where} is out of floating-point range")
     if kind is float and not (isinstance(v, float) and math.isfinite(v)):
         raise ConfigError(f"key '{key}' in {where} must be a finite number")
     if kind is str and not isinstance(v, str):
@@ -294,7 +301,7 @@ def cmd_check_bounds(args) -> int:
     if not all(map(math.isfinite, (args.sigma, args.delta, args.nu, args.C1, args.C2))):
         raise ConfigError("sigma, delta, nu, C1 and C2 must be finite")
     for flag in ("k", "d", "T", "n"):  # the bounds take them as floats
-        if abs(getattr(args, flag)) > sys.float_info.max:
+        if not _fits_float(getattr(args, flag)):
             raise ConfigError(f"--{flag} is out of floating-point range")
     _check_instance(args.k, args.d, 0.0, args.sigma)
     if not 0.0 < args.delta < 1.0:

@@ -452,6 +452,15 @@ class TestSimulate:
         assert f"'{key}'" in err and "finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["k", "d", "T", "trials", "arms_per_round"])
+    def test_integer_out_of_float_range_exit2(self, tmp_path, capsys, key):
+        # checked as the config is parsed, before any draw, allocation or output directory
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, **{key: HUGE_INT}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"key '{key}' in config is out of floating-point range" in captured.err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "block,field",
         [
