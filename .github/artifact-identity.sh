@@ -1,6 +1,6 @@
 #!/bin/sh
-# Compare simulate's four artifacts, and the stdout and exit code of estimate
-# and check-bounds, between a base commit and this checkout.
+# Compare simulate's four artifacts, and the stdout and exit code of estimate,
+# between a base commit and this checkout.
 #
 #   .github/artifact-identity.sh BASE_SHA [TRIALS]
 #
@@ -8,8 +8,7 @@
 # out as a temporary worktree.  fig2a, fig2b and plus_refit run in both trees
 # at --jobs 1 and 2 with the same --out (summary.json echoes it), using copies
 # of this checkout's configs with trials set to TRIALS (default: as shipped).
-# estimate runs on two small configs at two seeds, and check-bounds on a d=2,
-# a d=3, a vacuous (--d 400) and an overflowing (--C1 1e308) input.
+# estimate runs on two small configs at two seeds.
 # Prints one ::warning:: per output that differs or run that fails, then a
 # count for each kind; always exits 0.
 set -u
@@ -77,10 +76,6 @@ for est in est-a est-b; do
     compare "estimate $est --seed $seed" estimate --config "$tmp/$est.json" --seed "$seed"
   done
 done
-compare "check-bounds d=2" check-bounds --k 3 --d 2
-compare "check-bounds d=3" check-bounds --k 2 --d 3 --sigma 0.1 --nu 0.2 --n 500
-compare "check-bounds --d 400" check-bounds --k 3 --d 400
-compare "check-bounds --C1 1e308" check-bounds --k 3 --d 2 --C1 1e308
-echo "$same of $total estimate and check-bounds outputs identical to $base"
+echo "$same of $total estimate outputs identical to $base"
 git worktree remove --force "$tmp/base-tree"
 rm -rf "$tmp"

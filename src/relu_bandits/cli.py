@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, estimate, check-bounds.
+"""Command-line interface: simulate, estimate.
 
 Config files are strict JSON: unknown keys are rejected with a field-level
 message and exit code 2, so typos cannot silently fall back to defaults.
@@ -16,17 +16,8 @@ import sys
 from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
-from .errors import BoundVacuousError, ConfigError
-from .estimation import (
-    BoundParams,
-    FitConfig,
-    alpha_bound,
-    fit_erm,
-    h_bound,
-    match_neurons,
-    t0_schedule,
-    zeta_bound,
-)
+from .errors import ConfigError
+from .estimation import BoundParams, FitConfig, alpha_bound, fit_erm, match_neurons, zeta_bound
 from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import eval_f_batch
@@ -252,12 +243,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bound(name: str, given: str, bound) -> float | None:
-    """Evaluate one bound: None where it is vacuous, a ConfigError naming the inputs where it leaves the float range."""
+def _bound(name: str, given: str, bound) -> float:
+    """Evaluate one bound, raising a ConfigError naming the inputs where it leaves the float range."""
     try:  # a finite input can still over- or underflow the formula
         value = bound()
-    except BoundVacuousError:
-        return None
     except ArithmeticError:
         value = math.inf
     if not math.isfinite(value):
@@ -297,38 +286,8 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_check_bounds(args) -> int:
-    if not all(map(math.isfinite, (args.sigma, args.delta, args.nu, args.C1, args.C2))):
-        raise ConfigError("sigma, delta, nu, C1 and C2 must be finite")
-    for flag in ("k", "d", "T", "n"):  # the bounds take them as floats
-        if not _fits_float(getattr(args, flag)):
-            raise ConfigError(f"--{flag} is out of floating-point range")
-    _check_instance(args.k, args.d, 0.0, args.sigma)
-    if not 0.0 < args.delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
-    p = BoundParams(k=args.k, d=args.d, sigma=args.sigma, delta=args.delta, T=float(args.T), C1=args.C1, C2=args.C2)
-    bounds = {}  # every bound is evaluated and checked before anything prints
-    formulas = [
-        ("zeta", "k d sigma delta n", lambda: zeta_bound(args.n, p)),
-        ("alpha", "k d sigma delta n", lambda: alpha_bound(bounds["zeta"], p)),
-        ("t0", "nu C1 C2 k d sigma T", lambda: t0_schedule(args.nu, p)),
-    ]
-    if args.d >= 3:
-        formulas += [
-            (f"h(eta=0, eps={eps:g})", "k d", lambda eps=eps: h_bound(0.0, eps, args.k, args.d))
-            for eps in (0.001, 0.002, 0.003)
-        ]
-    for name, flags, bound in formulas:
-        bounds[name] = _bound(name, ", ".join(f"--{f}={getattr(args, f):g}" for f in flags.split()), bound)
-    for name, value in bounds.items():
-        print(f"{name} vacuous (nonpositive denominator)" if value is None else f"{name} {value:.12g}")
-    if args.d < 3:
-        print("h unsupported for d < 3")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="relu-bandits", description="ReLU bandit simulator and bound checker")
+    parser = argparse.ArgumentParser(prog="relu-bandits", description="ReLU bandit simulator and estimator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a multi-trial regret experiment from a JSON config")
@@ -342,18 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", required=True, help="path to the estimate JSON")
     est.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
     est.set_defaults(func=cmd_estimate)
-
-    chk = sub.add_parser("check-bounds", help="evaluate the theory bounds for given parameters")
-    chk.add_argument("--k", type=int, required=True)
-    chk.add_argument("--d", type=int, required=True)
-    chk.add_argument("--sigma", type=float, default=0.1)
-    chk.add_argument("--delta", type=float, default=0.05)
-    chk.add_argument("--T", type=int, default=1000)
-    chk.add_argument("--nu", type=float, default=0.1)
-    chk.add_argument("--n", type=int, default=100)
-    chk.add_argument("--C1", type=float, default=1.0)
-    chk.add_argument("--C2", type=float, default=1.0)
-    chk.set_defaults(func=cmd_check_bounds)
     return parser
 
 

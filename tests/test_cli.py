@@ -10,20 +10,11 @@ import numpy as np
 import pytest
 
 import relu_bandits
-from relu_bandits import (
-    BoundParams,
-    BoundVacuousError,
-    alpha_bound,
-    h_bound,
-    t0_schedule,
-    zeta_bound,
-)
 from relu_bandits import agents, cli, harness, linear_ucb, relu_model, reporting
 from relu_bandits.cli import main, parse_experiment_config, run_experiment
 
 from oracles import (
     export_csv_reference,
-    mp_h,
     points_reference,
     row_sum_reference,
     sample_arms_reference,
@@ -187,104 +178,6 @@ class TestConfigEcho:
         echo = parse_experiment_config(raw).echo
         # sorted JSON tells 2 from 2.0 and None from a missing key
         assert json.dumps(echo, sort_keys=True) == json.dumps(GOLDEN_ECHO[name], sort_keys=True)
-
-
-class TestCheckBounds:
-    def test_values_match_library(self, capsys):
-        code = main(
-            ["check-bounds", "--k", "2", "--d", "3", "--sigma", "0.2",
-             "--delta", "0.1", "--T", "500", "--nu", "0.3", "--n", "200"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        lines = {l.split()[0]: l for l in out.strip().splitlines()}
-        p = BoundParams(k=2, d=3, sigma=0.2, delta=0.1, T=500.0)
-        zeta = zeta_bound(200, p)
-        assert lines["zeta"].split()[1] == f"{zeta:.12g}"
-        assert lines["alpha"].split()[1] == f"{alpha_bound(zeta, p):.12g}"
-        assert lines["t0"].split()[1] == f"{t0_schedule(0.3, p):.12g}"
-        for eps in (0.001, 0.002, 0.003):
-            tag = f"h(eta=0, eps={eps:g})"
-            row = next(l for l in out.splitlines() if l.startswith(tag))
-            try:
-                hv = h_bound(0.0, eps, 2, 3)
-                assert row.split()[-1] == f"{hv:.12g}"
-            except BoundVacuousError:
-                assert "vacuous" in row
-
-    def test_d2_h_unsupported(self, capsys):
-        code = main(["check-bounds", "--k", "1", "--d", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "h unsupported for d < 3" in out
-
-    def test_bad_delta_exit2(self, capsys):
-        code = main(["check-bounds", "--k", "1", "--d", "2", "--delta", "1.5"])
-        assert code == 2
-        assert "delta" in capsys.readouterr().err
-
-    def test_bad_nu_exit2(self, capsys):
-        code = main(["check-bounds", "--k", "1", "--d", "2", "--nu", "0"])
-        assert code == 2
-
-    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--nu", "inf"), ("--C1", "nan"), ("--C2", "-inf")])
-    def test_nonfinite_number_exit2(self, flag, value, capsys):
-        code = main(["check-bounds", "--k", "1", "--d", "2", f"{flag}={value}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "finite" in captured.err and captured.out == ""
-
-    def test_missing_required_flag(self, capsys):
-        assert main(["check-bounds", "--k", "1"]) == 2
-
-    @pytest.mark.parametrize("nu", ["1e-300", "1e300"])  # nu**8 underflows to 0 / overflows
-    def test_nu_out_of_float_range_exit2(self, nu, capsys):
-        code = main(["check-bounds", "--k", "1", "--d", "2", "--nu", nu])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--nu" in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("flag", ["--k", "--d", "--T", "--n"])
-    def test_integer_out_of_float_range_exit2(self, flag, capsys):
-        # a 401-digit integer parses, but no bound can take it as a float
-        args = {"--k": "3", "--d": "3", flag: "9" * 401}
-        code = main(["check-bounds", *(part for item in args.items() for part in item)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"{flag} is out of floating-point range" in captured.err
-
-    @pytest.mark.parametrize(
-        "flag,value,bound",
-        [
-            ("--C1", "1e308", "t0"),
-            ("--nu", "1e-40", "t0"),
-            ("--sigma", "1e200", "zeta"),
-        ],
-    )
-    def test_overflowed_bound_exit2(self, flag, value, bound, capsys):
-        # finite inputs whose bound formula overflows to inf, or raises on the
-        # way; every bound is checked before any prints
-        code = main(["check-bounds", "--k", "3", "--d", "2", flag, value])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"{bound} is out of floating-point range" in captured.err and f"{flag}={float(value):g}" in captured.err
-
-    @pytest.mark.parametrize(
-        "d",
-        [
-            pytest.param(400, id="--d-400-h"),  # pi^(d/2) and Gamma(d/2) overflow, the areas do not
-            pytest.param(100000, id="--d-100000-h"),  # the areas underflow to 0
-        ],
-    )
-    def test_large_d_h_vacuous(self, d, capsys):
-        # 48 k d eps > 1 - d eps^2 / 2 here, so the denominator is negative
-        # whatever the sphere areas are, as the high-precision oracle agrees
-        code = main(["check-bounds", "--k", "3", "--d", str(d)])
-        out = capsys.readouterr().out
-        assert code == 0
-        for eps in (0.001, 0.002, 0.003):
-            assert mp_h(0.0, eps, 3, d) is None
-            assert f"h(eta=0, eps={eps:g}) vacuous (nonpositive denominator)" in out.splitlines()
 
 
 # the fig2a shape (2kd = 12) with every algorithm, OFU-ReLU+ on a practical grid
@@ -591,6 +484,14 @@ class TestEstimate:
             assert main(["estimate", "--config", cfg]) == 2
             assert "'delta'" in capsys.readouterr().err
 
+    def test_delta_outside_unit_interval_exit2(self, tmp_path, capsys):
+        # the library accepts delta >= 1; the CLI asks for a confidence in (0, 1)
+        for delta in (0.0, 1.0, 1.5):
+            cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": delta})
+            assert main(["estimate", "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert "delta in (0,1)" in captured.err and captured.out == ""
+
     def test_boolean_sample_size_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": [True]})
         assert main(["estimate", "--config", cfg]) == 2
@@ -612,7 +513,7 @@ class TestEstimate:
         "key,value,given", [("delta", 1e-320, " delta="), ("sigma", 1e200, " sigma="), ("sample_sizes", [HUGE_INT], " n=")]
     )
     def test_bound_out_of_float_range_exit2(self, key, value, given, tmp_path, capsys):
-        # zeta overflows (4/delta, sigma^2, or 1/n); it is checked before the first draw, as check-bounds checks it
+        # zeta overflows (4/delta, sigma^2, or 1/n); it is checked before the first draw
         cfg = write_config(tmp_path / "est.json", {"k": 2, "d": 3, "sample_sizes": [50], key: value})
         assert main(["estimate", "--config", cfg]) == 2
         captured = capsys.readouterr()
@@ -651,5 +552,6 @@ class TestEntryPoint:
         capsys.readouterr()
 
     def test_unknown_subcommand_exit2(self, capsys):
-        assert main(["frobnicate"]) == 2
-        capsys.readouterr()
+        for argv in (["frobnicate"], ["check-bounds", "--k", "3", "--d", "2"]):  # check-bounds was removed
+            assert main(argv) == 2
+            assert "invalid choice" in capsys.readouterr().err

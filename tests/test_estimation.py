@@ -393,11 +393,15 @@ class TestHBound:
             h_bound(1.0, 0.001, 1, 3)
 
     def test_vacuous_agrees_with_oracle(self):
-        # at these points the high-precision denominator is already negative
-        for eta, eps, d in ((0.0, 0.01, 3), (1e-250, 1e-6, 400), (1e-320, 1e-6, 500)):
-            assert mp_h(eta, eps, 1, d) is None
+        # at these points the high-precision denominator is already negative; at
+        # k = 3, d = 400 and 100000 it is so because 48 k d eps > 1 - d eps^2 / 2,
+        # whether the sphere areas overflow their factors (d = 400) or underflow
+        cases = [(0.0, 0.01, 1, 3), (1e-250, 1e-6, 1, 400), (1e-320, 1e-6, 1, 500)]
+        cases += [(0.0, eps, 3, d) for d in (400, 100000) for eps in (0.001, 0.002, 0.003)]
+        for eta, eps, k, d in cases:
+            assert mp_h(eta, eps, k, d) is None
             with pytest.raises(BoundVacuousError):
-                h_bound(eta, eps, 1, d)
+                h_bound(eta, eps, k, d)
 
 
 class TestT0Schedule:
