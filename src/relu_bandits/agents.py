@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -91,9 +92,10 @@ class OfuReluPlusConfig:
         if self.a <= 1.0 or self.b <= 1.0:
             raise ValueError("batch multipliers a and b must exceed 1")
         if self.practical_override is not None:
-            object.__setattr__(self, "practical_override", tuple(int(v) for v in self.practical_override))
-            if any(v < 0 for v in self.practical_override):
-                raise ValueError("override exploration lengths must be nonnegative")
+            sizes = tuple(self.practical_override)
+            if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 0 for v in sizes):
+                raise ValueError(f"override exploration lengths must be nonnegative integers, got {sizes}")
+            object.__setattr__(self, "practical_override", tuple(int(v) for v in sizes))
 
 
 @dataclass(frozen=True)

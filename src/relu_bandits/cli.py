@@ -261,8 +261,10 @@ def cmd_estimate(args) -> int:
     if not sizes or min(sizes) < 1:
         raise ConfigError("'sample_sizes' must be a nonempty list of positive integers")
     _check_instance(k, d, alpha0, sigma)
-    if seed < 0 or not 0.0 < delta < 1.0:
-        raise ConfigError("invalid estimate parameters (need seed >= 0, delta in (0,1))")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"key 'delta' in config must lie in (0, 1), got {delta}")
     fit = _fit_config(cfg["fit"], "config.fit")
     p = BoundParams(k=k, d=d, sigma=sigma, delta=delta, T=3.0)  # T enters t0_schedule only
     bounds = []  # every bound is evaluated and checked before the first draw

@@ -1,10 +1,9 @@
 """Experiment harness: instances, trials, regret accounting, aggregation.
 
 An arm set is an (m, d) array of unit rows, redrawn fresh every round by
-``sample_arms`` (unit by construction, so never re-checked); a caller's
-``fixed_arms`` is checked once per trial.  The regret comparator is per-round:
-r_t = max over the round's offered set of f minus f(chosen).  With a fixed
-arm set this reduces to the usual fixed-comparator regret.
+``sample_arms`` (unit by construction, so never re-checked).  The regret
+comparator is per-round: r_t = max over the round's offered set of f minus
+f(chosen).
 
 Streams: an experiment draws everything from one master seed, and every
 stream is ``_stream(seed, trial, tag)``, a SeedSequence((seed, trial, tag)):
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import AgentConfig, _SequentialAgent, make_agent
+from .agents import AgentConfig, make_agent
 from .errors import GenerationError
-from .relu_model import ReluNetwork, _as_unit_rows, _unit_rows, eval_f_batch
+from .relu_model import ReluNetwork, _unit_rows, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
 
@@ -150,29 +149,17 @@ def run_trial(
     rng: np.random.Generator,
     *,
     trial_seed: int = -1,
-    agent: _SequentialAgent | None = None,
-    fixed_arms: np.ndarray | None = None,
 ) -> TrialTrace:
-    """Play one agent for T rounds and log the full trace.
-
-    ``agent`` and ``fixed_arms`` are overrides for controlled experiments:
-    a prebuilt agent replaces the one the config would construct, and a fixed
-    (m, d) arm set suppresses per-round redrawing (the comparator then
-    coincides with the global-best one).  ``fixed_arms`` must be nonempty,
-    finite and of unit rows in the instance's dimension.
-    """
+    """Play one agent for T rounds and log the full trace."""
     if T < 1:
         raise ValueError("T must be at least 1")
-    if fixed_arms is not None:
-        fixed_arms = _as_unit_rows(fixed_arms, "fixed_arms", instance.truth.d)
     arms_rng, noise_rng, agent_rng = rng.spawn(3)
-    if agent is None:
-        agent = make_agent(agent_cfg, instance.truth.k, instance.truth.d, T)
+    agent = make_agent(agent_cfg, instance.truth.k, instance.truth.d, T)
     chosen = np.empty(T, dtype=np.int64)
     rewards = np.empty(T)
     inst_regret = np.empty(T)
     for t in range(1, T + 1):
-        arms = fixed_arms if fixed_arms is not None else sample_arms(m, instance.truth.d, arms_rng)
+        arms = sample_arms(m, instance.truth.d, arms_rng)
         idx = agent.select_arm(arms, agent_rng)
         fvals = eval_f_batch(instance.truth, arms)
         noise = noise_rng.standard_normal()  # drawn even when sigma = 0, for stream stability

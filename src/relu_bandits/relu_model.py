@@ -42,17 +42,12 @@ NORM_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
-# _row_sum at 8-15 columns: below this many rows numpy's own sum is faster (crossover 384-512 at 12 columns)
-_PAIRWISE_MIN_ROWS = 512
 
-
-def _as_unit_rows(values, name: str, d: int | None = None) -> np.ndarray:
-    """Caller data as a nonempty, finite 2-D float array of unit rows (of width d if given)."""
+def _as_unit_rows(values, name: str) -> np.ndarray:
+    """Caller data as a nonempty, finite 2-D float array of unit rows."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatchError(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
-    if d is not None and a.shape[1] != d:
-        raise DimensionMismatchError(f"{name} has rows of dimension {a.shape[1]}, expected {d}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     worst = float(np.abs(np.linalg.norm(a, axis=1) - 1.0).max())
@@ -85,31 +80,14 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)`` bit for bit, without numpy's reduction overhead on narrow rows.
 
     numpy adds fewer than 8 entries of a row left to right from +0.0, which
-    column adds reproduce.  From 8 to 15 entries it adds the first eight
-    pairwise, ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest left to right,
-    then adds the sum to its +0.0 start, and the column adds here do the same.
-    That order holds where rows are contiguous in memory; from 16 entries, and
-    on other layouts, defer to numpy.  Below ``_PAIRWISE_MIN_ROWS`` rows
-    numpy's one reduction beats the column adds, so defer there too.
+    column adds reproduce; from 8 entries on, defer to numpy.
     """
     n = a.shape[1]
-    if n < 8:
-        out = a[:, 0] + 0.0  # a copy, and +0.0 turns a -0.0 start into numpy's +0.0
-        for j in range(1, n):
-            out += a[:, j]
-        return out
-    if n >= 16 or a.shape[0] < _PAIRWISE_MIN_ROWS or not a.flags.c_contiguous:
+    if n >= 8:
         return a.sum(axis=1)
-    out = a[:, 0] + a[:, 1]
-    tmp = a[:, 2] + a[:, 3]
-    out += tmp
-    np.add(a[:, 4], a[:, 5], out=tmp)
-    tmp2 = a[:, 6] + a[:, 7]
-    tmp += tmp2
-    out += tmp
-    for j in range(8, n):
+    out = a[:, 0] + 0.0  # a copy, and +0.0 turns a -0.0 start into numpy's +0.0
+    for j in range(1, n):
         out += a[:, j]
-    out += 0.0  # numpy's +0.0 start, added last: it only turns a -0.0 sum into +0.0
     return out
 
 

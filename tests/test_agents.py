@@ -59,6 +59,9 @@ class TestConfigValidation:
             plus_config(None, b=1.0)
         with pytest.raises(ValueError):
             plus_config(None, nu0=0.0)
+        for override in ((2.5,), (True,), (-1,)):  # no silent truncation: (2.9, True) is not (2, 1)
+            with pytest.raises(ValueError):
+                plus_config(override)
 
 
 class TestProtocol:
@@ -137,36 +140,40 @@ class TestOfulAgent:
         cfg = OfulConfig(ucb=UcbConfig(sigma=0.01, S=1.0, delta=1.0 / math.sqrt(500.0), lam=0.01))
         return inst, cfg, A
 
-    def test_flat_regret_on_linear_instance(self):
+    def test_flat_regret_on_linear_instance(self, patch_trial):
         inst, cfg, arms = self._linear_setup()
-        tr = run_trial(inst, cfg, 500, 50, np.random.default_rng(0), fixed_arms=arms)
+        patch_trial(arms=arms)
+        tr = run_trial(inst, cfg, 500, 50, np.random.default_rng(0))
         assert len(tr) == 500
         last100 = tr.cum_regret[-1] - tr.cum_regret[-101]
         assert last100 < 0.15
         assert last100 < 0.15 * tr.cum_regret[-1]
 
-    def test_identical_seeds_identical_traces(self):
+    def test_identical_seeds_identical_traces(self, patch_trial):
         inst, cfg, arms = self._linear_setup()
-        a = run_trial(inst, cfg, 60, 50, np.random.default_rng(3), fixed_arms=arms)
-        b = run_trial(inst, cfg, 60, 50, np.random.default_rng(3), fixed_arms=arms)
+        patch_trial(arms=arms)
+        a = run_trial(inst, cfg, 60, 50, np.random.default_rng(3))
+        b = run_trial(inst, cfg, 60, 50, np.random.default_rng(3))
         np.testing.assert_array_equal(a.chosen, b.chosen)
         np.testing.assert_array_equal(a.rewards, b.rewards)
 
-    def test_ridge_absorbs_every_round(self):
+    def test_ridge_absorbs_every_round(self, patch_trial):
         inst, cfg, arms = self._linear_setup()
         agent = OfulAgent(3, cfg)
-        run_trial(inst, cfg, 25, 50, np.random.default_rng(4), agent=agent, fixed_arms=arms)
+        patch_trial(arms=arms, agent=agent)
+        run_trial(inst, cfg, 25, 50, np.random.default_rng(4))
         assert agent.ridge.count == 25
 
 
 class TestOfuReluAgent:
-    def test_noiseless_lock_in(self):
+    def test_noiseless_lock_in(self, patch_trial):
         # two antipodal arms, one active neuron: zero regret after warmup
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.0)
         arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
         cfg = OfuReluConfig(t0=5, ucb=UcbConfig(sigma=0.0, S=math.sqrt(5.0), delta=0.1, lam=1.0), fit=FIT)
-        tr = run_trial(inst, cfg, 40, 2, np.random.default_rng(0), fixed_arms=arms)
+        patch_trial(arms=arms)
+        tr = run_trial(inst, cfg, 40, 2, np.random.default_rng(0))
         assert len(tr) == 40
         assert (tr.chosen[15:] == 0).all()
         assert tr.inst_regret[15:].sum() == pytest.approx(0.0, abs=1e-12)
@@ -191,32 +198,35 @@ class TestOfuReluAgent:
         assert agent.estimate is not None
 
     @pytest.mark.parametrize("t0", [12, 17])
-    def test_degenerate_t0_equals_T(self, t0):
+    def test_degenerate_t0_equals_T(self, t0, patch_trial):
         # never leaves the exploration phase: picks match a plain random agent;
         # the window is clamped to T = 12, so the fit still runs at round T
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.0)
         agent = OfuReluAgent(1, 2, 12, OfuReluConfig(t0=t0, ucb=UCB, fit=FIT))
-        a = run_trial(inst, None, 12, 6, np.random.default_rng(7), agent=agent)
         b = run_trial(inst, RandomConfig(), 12, 6, np.random.default_rng(7))
+        patch_trial(agent=agent)
+        a = run_trial(inst, None, 12, 6, np.random.default_rng(7))
         np.testing.assert_array_equal(a.chosen, b.chosen)
         assert agent.estimate is not None and agent.ridge.count == 0
         assert agent.forced_exploration_rounds == 0
 
-    def test_ridge_counts_only_post_t0(self):
+    def test_ridge_counts_only_post_t0(self, patch_trial):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.1)
         agent = OfuReluAgent(1, 2, 20, OfuReluConfig(t0=5, ucb=UCB, fit=FIT))
-        run_trial(inst, None, 20, 8, np.random.default_rng(8), agent=agent)
+        patch_trial(agent=agent)
+        run_trial(inst, None, 20, 8, np.random.default_rng(8))
         assert agent.ridge.count == 15
 
-    def test_empty_restriction_falls_back(self):
+    def test_empty_restriction_falls_back(self, patch_trial):
         # nu/2 = 1 keeps only arms with |w.x| >= 1: none, so every UCB round
         # falls back to the full set
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.1)
         agent = OfuReluAgent(1, 2, 14, OfuReluConfig(t0=4, ucb=UCB, fit=FIT, nu=2.0))
-        tr = run_trial(inst, None, 14, 8, np.random.default_rng(9), agent=agent)
+        patch_trial(agent=agent)
+        tr = run_trial(inst, None, 14, 8, np.random.default_rng(9))
         assert agent.fallback_rounds == 10
         assert len(tr) == 14
 
@@ -263,7 +273,7 @@ class _ReferenceSelectAgent(OfuReluAgent):
 
 class TestOfuReluSelectMatchesReference:
     @pytest.mark.parametrize("nu,kept", [(0.0, "all"), (0.6, "some"), (2.5, "none")])
-    def test_same_picks_and_ridge(self, nu, kept):
+    def test_same_picks_and_ridge(self, nu, kept, patch_trial):
         # nu = 0 keeps every arm (the path without a copy), 0.6 drops some, 2.5
         # drops all and falls back to the full set
         rng = np.random.default_rng(21)
@@ -273,8 +283,10 @@ class TestOfuReluSelectMatchesReference:
         arms = sample_arms(200, 2, rng)
         cfg = OfuReluConfig(t0=10, ucb=UCB, fit=FIT, nu=nu)
         agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
-        a = run_trial(inst, None, 60, 200, np.random.default_rng(22), agent=agent, fixed_arms=arms)
-        b = run_trial(inst, None, 60, 200, np.random.default_rng(22), agent=ref, fixed_arms=arms)
+        patch_trial(arms=arms, agent=agent)
+        a = run_trial(inst, None, 60, 200, np.random.default_rng(22))
+        patch_trial(agent=ref)
+        b = run_trial(inst, None, 60, 200, np.random.default_rng(22))
         mask = margin_mask(arms @ agent.estimate.weights.T, nu / 2.0)
         assert kept == ("all" if mask.all() else "none" if not mask.any() else "some")
         assert agent.fallback_rounds == ref.fallback_rounds == (50 if kept == "none" else 0)
@@ -285,7 +297,7 @@ class TestOfuReluSelectMatchesReference:
         assert (agent.ridge.logdet, agent.ridge.count) == (ref.ridge.logdet, ref.ridge.count)
 
     @pytest.mark.parametrize("nu", [0.0, 0.6, 2.5])
-    def test_same_picks_and_ridge_at_the_margin_and_the_kink(self, nu, monkeypatch):
+    def test_same_picks_and_ridge_at_the_margin_and_the_kink(self, nu, monkeypatch, patch_trial):
         # the estimate is pinned so that row 0 projects on neuron 0 at exactly
         # nu/2 and rows 1-3 sit at a kink (p = 0.0, or -0.0 where the BLAS
         # sums it so), where the filter's comparison and the lift's indicator
@@ -301,8 +313,10 @@ class TestOfuReluSelectMatchesReference:
         inst = Instance(truth=est, sigma=0.1)
         cfg = OfuReluConfig(t0=10, ucb=UCB, fit=FIT, nu=nu)
         agent, ref = OfuReluAgent(3, 2, 60, cfg), _ReferenceSelectAgent(3, 2, 60, cfg)
-        a = run_trial(inst, None, 60, len(arms), np.random.default_rng(24), agent=agent, fixed_arms=arms)
-        b = run_trial(inst, None, 60, len(arms), np.random.default_rng(24), agent=ref, fixed_arms=arms)
+        patch_trial(arms=arms, agent=agent)
+        a = run_trial(inst, None, 60, len(arms), np.random.default_rng(24))
+        patch_trial(agent=ref)
+        b = run_trial(inst, None, 60, len(arms), np.random.default_rng(24))
         mask = margin_mask(proj, nu / 2.0)
         assert mask[0] == (nu <= 1.0)  # the row at exactly nu/2 is kept, with |p| >= nu/2 on every neuron
         assert mask[1:4].all() == (nu == 0.0)  # the kink rows pass only the empty filter
@@ -360,6 +374,10 @@ class TestBuildBatchGrid:
 
 
 class TestOfuReluPlusAgent:
+    @pytest.fixture(autouse=True)
+    def _patch_trial(self, patch_trial):
+        self.patch_trial = patch_trial
+
     def _run(self, override, T, seed=0, k=1, d=2, sigma=0.05, cfg=None):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((k, d))
@@ -368,7 +386,8 @@ class TestOfuReluPlusAgent:
         inst = Instance(truth=truth, sigma=sigma)
         cfg = cfg or plus_config(override, k=k, d=d)
         agent = OfuReluAgent(k, d, T, cfg)
-        tr = run_trial(inst, None, T, 10, np.random.default_rng(seed + 1), agent=agent)
+        self.patch_trial(agent=agent)
+        tr = run_trial(inst, None, T, 10, np.random.default_rng(seed + 1))
         return agent, tr
 
     def test_pool_matches_exploration_windows(self):

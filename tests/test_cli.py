@@ -490,7 +490,13 @@ class TestEstimate:
             cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": delta})
             assert main(["estimate", "--config", cfg]) == 2
             captured = capsys.readouterr()
-            assert "delta in (0,1)" in captured.err and captured.out == ""
+            assert "'delta'" in captured.err and "(0, 1)" in captured.err and captured.out == ""
+
+    def test_negative_seed_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2})
+        assert main(["estimate", "--config", cfg, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be nonnegative" in captured.err and captured.out == ""
 
     def test_boolean_sample_size_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": [True]})

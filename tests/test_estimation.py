@@ -46,6 +46,12 @@ class TestSample:
         with pytest.raises(ValueError, match="unit norm"):
             fit_erm(X, [0.0, 0.0], 1, FitConfig(restarts=1, max_iters=1))
 
+    def test_non_finite_rows_rejected(self):
+        # a NaN row has no norm to compare, so the finite check must catch it
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_erm([[1.0, 0.0], [bad, 0.0]], [0.0, 0.0], 1, FitConfig(restarts=1, max_iters=1))
+
     def test_accepts_unit(self):
         est = fit_erm([[0.6, 0.8]], [1.5], 1, FitConfig(restarts=1, max_iters=1))
         assert est.k == 1 and est.d == 2

@@ -143,15 +143,17 @@ class TestRunTrial:
         arms = np.array([[1.0, 0.0], [-1.0, 0.0]])
         return inst, arms
 
-    def test_random_agent_mean_regret_half(self):
+    def test_random_agent_mean_regret_half(self, patch_trial):
         # f values are 1 and 0, so a uniform pick loses 0.5 on average
         inst, arms = self._coin_flip_setup()
-        tr = run_trial(inst, RandomConfig(), 10_000, 2, np.random.default_rng(9), fixed_arms=arms)
+        patch_trial(arms=arms)
+        tr = run_trial(inst, RandomConfig(), 10_000, 2, np.random.default_rng(9))
         assert abs(tr.inst_regret.mean() - 0.5) < 0.02
 
-    def test_trace_shape_and_cumsum(self):
+    def test_trace_shape_and_cumsum(self, patch_trial):
         inst, arms = self._coin_flip_setup()
-        tr = run_trial(inst, RandomConfig(), 100, 2, np.random.default_rng(10), fixed_arms=arms)
+        patch_trial(arms=arms)
+        tr = run_trial(inst, RandomConfig(), 100, 2, np.random.default_rng(10))
         assert len(tr) == 100
         np.testing.assert_array_equal(tr.t, np.arange(1, 101))
         np.testing.assert_allclose(tr.cum_regret, np.cumsum(tr.inst_regret), atol=1e-12)
@@ -172,11 +174,12 @@ class TestRunTrial:
         np.testing.assert_array_equal(a.rewards, b.rewards)
         np.testing.assert_array_equal(a.cum_regret, b.cum_regret)
 
-    def test_comparator_is_global_best_on_fixed_arms(self):
+    def test_comparator_is_global_best_on_fixed_arms(self, patch_trial):
         truth = ReluNetwork(np.array([[0.6, 0.8], [-0.8, 0.6]]))
         inst = Instance(truth=truth, sigma=0.0)
         arms = sample_arms(20, 2, np.random.default_rng(13))
-        tr = run_trial(inst, RandomConfig(), 60, 20, np.random.default_rng(14), fixed_arms=arms)
+        patch_trial(arms=arms)
+        tr = run_trial(inst, RandomConfig(), 60, 20, np.random.default_rng(14))
         best = eval_f_batch(truth, arms).max()
         fvals = eval_f_batch(truth, arms)[tr.chosen]
         np.testing.assert_allclose(fvals + tr.inst_regret, best, atol=1e-12)
@@ -189,38 +192,33 @@ class TestRunTrial:
         slope = np.polyfit(t, tr.cum_regret[200:], 1)[0]
         assert slope > 0.1 * 2
 
-    def test_trial_seed_tagged(self):
+    def test_trial_seed_tagged(self, patch_trial):
         inst, arms = self._coin_flip_setup()
-        tr = run_trial(inst, RandomConfig(), 5, 2, np.random.default_rng(17), trial_seed=9, fixed_arms=arms)
+        patch_trial(arms=arms)
+        tr = run_trial(inst, RandomConfig(), 5, 2, np.random.default_rng(17), trial_seed=9)
         assert tr.seed == 9
         assert tr.algorithm == "random"
 
     def test_bad_T(self):
-        inst, arms = self._coin_flip_setup()
-        with pytest.raises(ValueError):
-            run_trial(inst, RandomConfig(), 0, 2, np.random.default_rng(18), fixed_arms=arms)
-
-    @pytest.mark.parametrize(
-        "arms,match",
-        [
-            ([[1.0, 0.0], [0.6, 0.7]], "unit norm"),
-            ([[1.0, 0.0], [np.nan, 1.0]], "non-finite"),
-            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "dimension"),
-            ([1.0, 0.0], "2-D"),
-        ],
-        ids=["non-unit-row", "nan", "wrong-d", "1-D"],
-    )
-    def test_bad_fixed_arms_rejected(self, arms, match):
         inst, _ = self._coin_flip_setup()
-        with pytest.raises(ValueError, match=match):
-            run_trial(inst, RandomConfig(), 5, 2, np.random.default_rng(21), fixed_arms=np.array(arms))
+        with pytest.raises(ValueError):
+            run_trial(inst, RandomConfig(), 0, 2, np.random.default_rng(18))
 
-    def test_agent_protocol_violation_propagates(self):
+    def test_no_override_keywords(self):
+        # a fixed arm set or a prebuilt agent is a test's patch (the patch_trial fixture), not an input
+        inst, arms = self._coin_flip_setup()
+        with pytest.raises(TypeError):
+            run_trial(inst, RandomConfig(), 5, 2, np.random.default_rng(21), fixed_arms=arms)
+        with pytest.raises(TypeError):
+            run_trial(inst, RandomConfig(), 5, 2, np.random.default_rng(21), agent=RandomAgent())
+
+    def test_agent_protocol_violation_propagates(self, patch_trial):
         inst, arms = self._coin_flip_setup()
         broken = RandomAgent()
         broken.select_arm(arms, np.random.default_rng(19))  # leaves a pick pending
+        patch_trial(arms=arms, agent=broken)
         with pytest.raises(ProtocolError):
-            run_trial(inst, None, 5, 2, np.random.default_rng(20), agent=broken, fixed_arms=arms)
+            run_trial(inst, None, 5, 2, np.random.default_rng(20))
 
 
 class TestTrialTrace:
