@@ -15,10 +15,10 @@ Policies:
   t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no gap
   knowledge: a geometric batch grid shrinks the assumed gap batch by batch,
   explored rows accumulate across batches, and each refit rebuilds the
-  ridge from the history, lifted under the fresh estimate, as one block.
-  The one policy difference is data: OFU-ReLU's ridge replays from round
-  t0 + 1, because its exploration rows feed the fit only, while
-  OFU-ReLU+'s replays every round.
+  ridge as one block from the history, lifted under the fresh estimate,
+  so at every UCB round the ridge equals that replay.  The one policy
+  difference is where the replay starts: round t0 + 1 for OFU-ReLU, whose
+  exploration rows feed the fit only, and round 1 for OFU-ReLU+.
 * ``OfulAgent``: plain linear UCB on the raw d-dimensional arms, the
   deliberately misspecified baseline.
 * ``RandomAgent``: uniform choice, the sanity floor.
@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from numbers import Integral
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .estimation import BoundParams, FitConfig, fit_erm, t0_schedule
+from .estimation import BoundParams, FitConfig, _is_int, _require_ints, fit_erm, t0_schedule
 from .linear_ucb import LinearUcbState, UcbConfig, ridge_update, ucb_select
 from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
 
@@ -59,6 +58,7 @@ class OfuReluConfig:
     label: str = "ofu_relu"
 
     def __post_init__(self):
+        _require_ints(self, "t0")
         if self.t0 < 1:
             raise ValueError("t0 must be at least 1")
         if self.nu < 0.0:
@@ -85,6 +85,7 @@ class OfuReluPlusConfig:
     label: str = "ofu_relu_plus"
 
     def __post_init__(self):
+        _require_ints(self, "T1")
         if self.nu0 <= 0.0:
             raise ValueError("nu0 must be positive")
         if self.T1 < 1:
@@ -93,7 +94,7 @@ class OfuReluPlusConfig:
             raise ValueError("batch multipliers a and b must exceed 1")
         if self.practical_override is not None:
             sizes = tuple(self.practical_override)
-            if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 0 for v in sizes):
+            if not all(_is_int(v) and v >= 0 for v in sizes):
                 raise ValueError(f"override exploration lengths must be nonnegative integers, got {sizes}")
             object.__setattr__(self, "practical_override", tuple(int(v) for v in sizes))
 
@@ -130,8 +131,7 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
     if T < cfg.T1:
         raise ConfigError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
     # round before ceil so exact powers of a do not pick up a spurious batch
-    M = math.ceil(round(math.log(T / cfg.T1 + 1.0) / math.log(cfg.a), 12))
-    M = max(M, 1)
+    M = max(1, math.ceil(round(math.log(T / cfg.T1 + 1.0) / math.log(cfg.a), 12)))
     boundaries = [0]
     for i in range(1, M + 1):
         raw = (cfg.a**i - 1.0) * cfg.T1
@@ -146,13 +146,8 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
             )
         sizes = cfg.practical_override[:M]
     else:
-        params = replace(cfg.schedule, T=float(T))
-        prev = math.ceil(t0_schedule(cfg.nu0, params))
-        sizes = []
-        for i in range(M):
-            cur = math.ceil(t0_schedule(nus[i], params))
-            sizes.append(max(0, cur - prev))
-            prev = cur
+        lengths = [math.ceil(t0_schedule(nu, cfg.schedule, T)) for nu in (cfg.nu0, *nus)]
+        sizes = [max(0, cur - prev) for prev, cur in zip(lengths, lengths[1:])]
     sizes = tuple(min(size, boundaries[i + 1] - boundaries[i]) for i, size in enumerate(sizes))
     return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes)
 
@@ -247,8 +242,8 @@ class OfuReluAgent(_SequentialAgent):
     lifted under the new estimate and absorbed as one block (features of past
     actions change with the estimate, so the state cannot be patched across
     a refit).
-    Between refits every later round also enters the ridge incrementally, so
-    the state always equals that replay under the current estimate.
+    Between refits each UCB round enters the ridge incrementally, so at every
+    UCB round the state equals that replay under the current estimate.
 
     Until the first refit the agent keeps exploring, counted in
     ``forced_exploration_rounds``.  A UCB round projects the offered arms on
@@ -327,18 +322,11 @@ class OfuReluAgent(_SequentialAgent):
             ridge_update(self._ridge, self._pending_features, reward)
             self._pending_features = None
             return
-        # an exploration round
+        # an exploration round, which only the next fit reads
         self._explored[t - 1] = True
-        if self._estimate is not None:
-            feats = self._lift(action[None, :])[0]
-            ridge_update(self._ridge, feats, reward)
         i = self._batch_of(t)
         if t == self._explore_end[i] and self.grid.boundaries[i] < t:
             self._refit()
-
-    def _lift(self, rows: np.ndarray) -> np.ndarray:
-        """Sign-robust features of rows off the UCB path, which need no margin filter."""
-        return sign_robust_features_batch(rows, rows @ self._estimate.weights.T)
 
     def _refit(self):
         X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
@@ -346,7 +334,8 @@ class OfuReluAgent(_SequentialAgent):
         self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start
         if start < self._t:  # OFU-ReLU replays nothing; OFU-ReLU+ absorbs its whole replay as one block
-            ridge_update(self._ridge, self._lift(X[start:]), y[start:])
+            rows = X[start:]  # off the UCB path, so the lift needs no margin filter
+            ridge_update(self._ridge, sign_robust_features_batch(rows, rows @ self._estimate.weights.T), y[start:])
 
 
 AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig

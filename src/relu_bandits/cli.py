@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
 from .errors import ConfigError
-from .estimation import BoundParams, FitConfig, alpha_bound, fit_erm, match_neurons, zeta_bound
+from .estimation import BoundParams, FitConfig, _is_int, alpha_bound, fit_erm, match_neurons, zeta_bound
 from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import eval_f_batch
@@ -70,10 +70,6 @@ ALGORITHMS = {
         "fit": (FIT, None),
     },
 }
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _fits_float(v: int) -> bool:
@@ -154,7 +150,7 @@ def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int, sig
     if p["name"] == "ofu_relu":
         return OfuReluConfig(t0=p["t0"], nu=p["nu"], ucb=ucb, fit=fit, label=p["label"])
     # schedule sigma is the environment noise level, not the UCB one
-    sched = BoundParams(k=k, d=d, sigma=sigma, delta=p["delta"], T=float(T), C1=p["C1"], C2=p["C2"])
+    sched = BoundParams(k=k, d=d, sigma=sigma, delta=p["delta"], C1=p["C1"], C2=p["C2"])
     cfg = OfuReluPlusConfig(
         nu0=p["nu0"], T1=p["T1"], a=p["a"], b=p["b"], schedule=sched, ucb=ucb, fit=fit,
         practical_override=p["practical_override"], label=p["label"],
@@ -266,7 +262,7 @@ def cmd_estimate(args) -> int:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"key 'delta' in config must lie in (0, 1), got {delta}")
     fit = _fit_config(cfg["fit"], "config.fit")
-    p = BoundParams(k=k, d=d, sigma=sigma, delta=delta, T=3.0)  # T enters t0_schedule only
+    p = BoundParams(k=k, d=d, sigma=sigma, delta=delta)
     bounds = []  # every bound is evaluated and checked before the first draw
     for n in sizes:
         given = f"k={k}, d={d}, sigma={sigma:g}, delta={delta:g}, n={n}"

@@ -15,11 +15,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError
 from .relu_model import ReluNetwork, _as_unit_rows, _unit_rows
+
+
+def _is_int(v) -> bool:
+    """The one rule for integer config fields and keys: an integer, and not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _require_ints(cfg, *names: str) -> None:
+    """Raise a ValueError naming the first of the config's fields that breaks that rule."""
+    for name in names:
+        if not _is_int(v := getattr(cfg, name)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "restarts", "max_iters", "seed")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         if self.step_size <= 0.0 or self.tol <= 0.0:
@@ -65,11 +79,11 @@ class BoundParams:
     d: int
     sigma: float
     delta: float
-    T: float
     C1: float = 1.0
     C2: float = 1.0
 
     def __post_init__(self):
+        _require_ints(self, "k", "d")
         if self.k < 1 or self.d < 1:
             raise ValueError("k and d must be positive integers")
         if self.sigma < 0.0:
@@ -242,8 +256,8 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
     return num / den
 
 
-def t0_schedule(nu: float, p: BoundParams) -> float:
-    """Theoretical exploration length sufficient for a matched error nu/2.
+def t0_schedule(nu: float, p: BoundParams, T: float) -> float:
+    """Theoretical exploration length sufficient for a matched error nu/2 at horizon T.
 
     t1(nu) = C1 k^10 d^2 max(k,sigma)^2 / nu^8 * B,
     t2     = C2 k^10 d^6 max(k,sigma)^2 * B,
@@ -254,10 +268,10 @@ def t0_schedule(nu: float, p: BoundParams) -> float:
     """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    if p.T < math.e:
+    if T < math.e:
         raise ValueError("T must be at least e for log log T to be defined")
     ks = max(float(p.k), p.sigma)
-    bracket = p.d * p.k * max(math.log(p.d * ks), math.log(math.log(p.T))) + math.log(64.0 * p.T)
+    bracket = p.d * p.k * max(math.log(p.d * ks), math.log(math.log(T))) + math.log(64.0 * T)
     t1 = p.C1 * p.k**10 * p.d**2 * ks**2 / nu**8 * bracket
     t2 = p.C2 * p.k**10 * p.d**6 * ks**2 * bracket
     return max(t1, t2)

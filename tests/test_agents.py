@@ -36,7 +36,7 @@ def plus_config(override, nu0=1.0, T1=10, a=2.0, b=2.0, k=1, d=2, ucb=UCB):
         T1=T1,
         a=a,
         b=b,
-        schedule=BoundParams(k=k, d=d, sigma=0.1, delta=0.1, T=1000.0),
+        schedule=BoundParams(k=k, d=d, sigma=0.1, delta=0.1),
         ucb=ucb,
         fit=FIT,
         practical_override=override,
@@ -51,6 +51,20 @@ class TestConfigValidation:
     def test_negative_nu(self):
         with pytest.raises(ValueError):
             OfuReluConfig(t0=5, ucb=UCB, fit=FIT, nu=-0.1)
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: OfuReluConfig(t0=5.5, ucb=UCB, fit=FIT), "t0"),
+            (lambda: OfuReluConfig(t0=True, ucb=UCB, fit=FIT), "t0"),
+            (lambda: plus_config(None, T1=2.5), "T1"),
+            (lambda: plus_config(None, T1=True), "T1"),
+        ],
+        ids=["t0-float", "t0-bool", "T1-float", "T1-bool"],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build()
 
     def test_plus_multipliers(self):
         with pytest.raises(ValueError):
@@ -360,7 +374,7 @@ class TestBuildBatchGrid:
             T1=10,
             a=2.0,
             b=2.0 ** 0.125,
-            schedule=BoundParams(k=1, d=4, sigma=0.1, delta=0.1, T=1000.0),
+            schedule=BoundParams(k=1, d=4, sigma=0.1, delta=0.1),
             ucb=UCB,
             fit=FIT,
         )
@@ -419,6 +433,36 @@ class TestOfuReluPlusAgent:
         np.testing.assert_allclose(
             agent.ridge.gram_inv @ agent.ridge.moment, state.gram_inv @ state.moment, atol=1e-8
         )
+
+    def test_ridge_equals_replay_at_every_ucb_round(self):
+        # the narrowed contract: at every UCB round the ridge equals a
+        # from-scratch replay of the history from the replay start under the
+        # current estimate, while a later exploration window's rows reach the
+        # ridge only through the refit that ends the window
+        agent = OfuReluAgent(1, 2, 60, plus_config((6, 3, 2)))
+        assert agent.grid.boundaries == (0, 10, 30, 60)
+        explored = {1, 2, 3, 4, 5, 6, 11, 12, 13, 31, 32}  # two windows after the first fit
+        truth = ReluNetwork(np.array([[0.6, 0.8]]))
+        arm_rng, agent_rng, noise_rng = (np.random.default_rng(s) for s in (1, 2, 3))
+        ucb_rounds = 0
+        for t in range(1, 61):
+            arms = sample_arms(10, 2, arm_rng)
+            count = agent.ridge.count
+            j = agent.select_arm(arms, agent_rng)
+            if t not in explored:
+                ucb_rounds += 1
+                X, y = agent.history()
+                state = LinearUcbState(2 * 1 * 2, UCB.lam)
+                for x, reward in zip(X, y):
+                    feat = sign_robust_features_batch(x[None, :], x[None, :] @ agent.estimate.weights.T)[0]
+                    ridge_update(state, feat, reward)
+                assert agent.ridge.count == t - 1
+                np.testing.assert_allclose(agent.ridge.gram, state.gram, atol=1e-8)
+                np.testing.assert_allclose(agent.ridge.moment, state.moment, atol=1e-8)
+            agent.observe(eval_f_batch(truth, arms[j : j + 1])[0] + 0.05 * noise_rng.standard_normal())
+            if t in (11, 12, 31):  # inside a later window, before the refit that ends it
+                assert agent.ridge.count == count
+        assert ucb_rounds == 60 - len(explored) and agent.pool_size == len(explored)
 
     def test_history_holds_copies_of_the_chosen_rows(self):
         agent, _ = self._run((6, 3, 2), 60)

@@ -72,6 +72,20 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(step_size=-1.0)
 
+    @pytest.mark.parametrize(
+        "field,value", [("restarts", 2.5), ("restarts", True), ("max_iters", True), ("max_iters", 3.0), ("seed", 1.5)]
+    )
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FitConfig(**{field: value})
+
+
+class TestBoundParamsValidation:
+    @pytest.mark.parametrize("field,value", [("k", 2.5), ("k", True), ("d", 2.0), ("d", True)])
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            BoundParams(**{"k": 1, "d": 2, "sigma": 0.1, "delta": 0.1, field: value})
+
 
 class TestEmpiricalSqLoss:
     def test_exact_fit_zero(self):
@@ -311,49 +325,49 @@ class TestMatchNeurons:
 
 class TestZetaBound:
     def test_spot_value(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e, T=3.0)
+        p = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e)
         z = zeta_bound(4096, p)
         assert z == pytest.approx(math.sqrt(math.log(65.0) + 1.0), abs=1e-12)
         assert z == pytest.approx(mp_zeta(4096, 1, 1, 1.0, 4.0 / math.e), abs=1e-12)
 
     def test_monotone_in_n(self):
-        p = BoundParams(k=2, d=3, sigma=0.5, delta=0.1, T=100.0)
+        p = BoundParams(k=2, d=3, sigma=0.5, delta=0.1)
         for n in (16, 64, 256, 1024):
             assert zeta_bound(2 * n, p) < zeta_bound(n, p)
 
     def test_sigma_zero_equals_sigma_one_at_k1(self):
-        a = BoundParams(k=1, d=1, sigma=0.0, delta=4.0 / math.e, T=3.0)
-        b = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e, T=3.0)
+        a = BoundParams(k=1, d=1, sigma=0.0, delta=4.0 / math.e)
+        b = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e)
         assert zeta_bound(4096, a) == zeta_bound(4096, b)
 
     def test_bad_n(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1, T=10.0)
+        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1)
         with pytest.raises(ValueError):
             zeta_bound(0, p)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
-            BoundParams(k=1, d=2, sigma=0.1, delta=0.0, T=10.0)
+            BoundParams(k=1, d=2, sigma=0.1, delta=0.0)
 
 
 class TestAlphaBound:
     def test_zero_zeta(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5, T=3.0)
+        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
         assert alpha_bound(0.0, p) == 0.0
 
     def test_spot_value(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5, T=3.0)
+        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
         a = alpha_bound(0.5, p)
         assert a == pytest.approx(727.0 * math.pi ** -0.25, abs=1e-9)
         assert a == pytest.approx(mp_alpha(0.5, 1, 1), abs=1e-9)
 
     def test_linear_in_k(self):
-        p1 = BoundParams(k=1, d=2, sigma=0.1, delta=0.5, T=3.0)
-        p2 = BoundParams(k=2, d=2, sigma=0.1, delta=0.5, T=3.0)
+        p1 = BoundParams(k=1, d=2, sigma=0.1, delta=0.5)
+        p2 = BoundParams(k=2, d=2, sigma=0.1, delta=0.5)
         assert alpha_bound(1.0, p2) == pytest.approx(2.0 * alpha_bound(1.0, p1), rel=1e-12)
 
     def test_negative_zeta_rejected(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.5, T=3.0)
+        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.5)
         with pytest.raises(ValueError):
             alpha_bound(-1.0, p)
 
@@ -412,26 +426,26 @@ class TestHBound:
 
 class TestT0Schedule:
     def test_spot_value(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5, T=math.e)
-        t = t0_schedule(1.0, p)
+        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
+        t = t0_schedule(1.0, p, math.e)
         assert t == pytest.approx(math.log(64.0 * math.e), abs=1e-12)
         assert t == pytest.approx(mp_t0(1.0, 1, 1, 1.0, math.e), abs=1e-12)
 
     def test_monotone_in_nu(self):
-        p = BoundParams(k=2, d=3, sigma=0.5, delta=0.1, T=1000.0)
-        assert t0_schedule(0.1, p) >= t0_schedule(0.2, p)
+        p = BoundParams(k=2, d=3, sigma=0.5, delta=0.1)
+        assert t0_schedule(0.1, p, 1000.0) >= t0_schedule(0.2, p, 1000.0)
 
     def test_constant_once_t2_dominates(self):
-        p = BoundParams(k=1, d=4, sigma=0.1, delta=0.1, T=1000.0)
+        p = BoundParams(k=1, d=4, sigma=0.1, delta=0.1)
         # d^6 >> d^2/nu^8 for nu near 1, so t2 wins and nu stops mattering
-        assert t0_schedule(1.0, p) == t0_schedule(2.0, p)
+        assert t0_schedule(1.0, p, 1000.0) == t0_schedule(2.0, p, 1000.0)
 
     def test_bad_nu(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1, T=10.0)
+        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1)
         with pytest.raises(ValueError):
-            t0_schedule(0.0, p)
+            t0_schedule(0.0, p, 10.0)
 
     def test_small_T_rejected(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1, T=2.0)
+        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1)
         with pytest.raises(ValueError):
-            t0_schedule(1.0, p)
+            t0_schedule(1.0, p, 2.0)
