@@ -8,6 +8,9 @@
 # out as a temporary worktree.  fig2a, fig2b and plus_refit run in both trees
 # at --jobs 1 and 2 with the same --out (summary.json echoes it), using copies
 # of this checkout's configs with trials set to TRIALS (default: as shipped).
+# So does a fig2a-shape OFU-ReLU+ config on the theoretical exploration
+# schedule, which no shipped config runs: one block whose small C1 and C2 give
+# non-empty windows, and the default block, which never fits.
 # estimate runs on two small configs at two seeds.
 # Prints one ::warning:: per output that differs or run that fails, then a
 # count for each kind; always exits 0.
@@ -20,37 +23,52 @@ git worktree add --detach "$tmp/base-tree" "$base" > /dev/null 2>&1 || {
   echo "::warning title=artifact identity::cannot check out $base"
   exit 0
 }
-same=0
-total=0
-for cfg in configs/fig2a.json configs/fig2b.json perfbench/workloads/plus_refit.json; do
-  name=$(basename "$cfg" .json)
-  python3 - "$cfg" "$tmp/$name.json" "$trials" <<'EOF'
+mkdir "$tmp/inline"
+python3 - configs/fig2a.json "$tmp/inline/plus_schedule.json" <<'EOF'
+import json, sys
+cfg = json.load(open(sys.argv[1]))
+cfg["algorithms"] = [
+    {"name": "ofu_relu_plus", "label": "plus_schedule", "nu0": 0.5, "C1": 4e-9, "C2": 1e-9},
+    {"name": "ofu_relu_plus", "label": "plus_default"},
+]
+json.dump(cfg, open(sys.argv[2], "w"))
+EOF
+simulate_identity() {  # the config paths; sets same and total
+  same=0
+  total=0
+  for cfg in "$@"; do
+    name=$(basename "$cfg" .json)
+    python3 - "$cfg" "$tmp/$name.json" "$trials" <<'EOF'
 import json, sys
 cfg = json.load(open(sys.argv[1]))
 if sys.argv[3]:
     cfg["trials"] = int(sys.argv[3])
 json.dump(cfg, open(sys.argv[2], "w"))
 EOF
-  for jobs in 1 2; do
-    for side in base head; do
-      tree=$([ "$side" = base ] && echo "$tmp/base-tree" || echo "$head")
-      rm -rf "$tmp/out" "$tmp/$side"
-      PYTHONPATH="$tree/src" python3 -m relu_bandits.cli simulate \
-        --config "$tmp/$name.json" --out "$tmp/out" --jobs "$jobs" > /dev/null 2> "$tmp/err" ||
-        echo "::warning title=artifact identity::$name --jobs $jobs failed on $side: $(tail -n 1 "$tmp/err")"
-      mv "$tmp/out" "$tmp/$side" 2> /dev/null || mkdir "$tmp/$side"
-    done
-    for f in traces.csv aggregate.csv regret.svg summary.json; do
-      total=$((total + 1))
-      if cmp -s "$tmp/base/$f" "$tmp/head/$f"; then
-        same=$((same + 1))
-      else
-        echo "::warning title=artifact identity::$name --jobs $jobs: $f differs from $base"
-      fi
+    for jobs in 1 2; do
+      for side in base head; do
+        tree=$([ "$side" = base ] && echo "$tmp/base-tree" || echo "$head")
+        rm -rf "$tmp/out" "$tmp/$side"
+        PYTHONPATH="$tree/src" python3 -m relu_bandits.cli simulate \
+          --config "$tmp/$name.json" --out "$tmp/out" --jobs "$jobs" > /dev/null 2> "$tmp/err" ||
+          echo "::warning title=artifact identity::$name --jobs $jobs failed on $side: $(tail -n 1 "$tmp/err")"
+        mv "$tmp/out" "$tmp/$side" 2> /dev/null || mkdir "$tmp/$side"
+      done
+      for f in traces.csv aggregate.csv regret.svg summary.json; do
+        total=$((total + 1))
+        if cmp -s "$tmp/base/$f" "$tmp/head/$f"; then
+          same=$((same + 1))
+        else
+          echo "::warning title=artifact identity::$name --jobs $jobs: $f differs from $base"
+        fi
+      done
     done
   done
-done
+}
+simulate_identity configs/fig2a.json configs/fig2b.json perfbench/workloads/plus_refit.json
 echo "$same of $total artifacts byte-identical to $base"
+simulate_identity "$tmp/inline/plus_schedule.json"
+echo "$same of $total theoretical-schedule artifacts byte-identical to $base"
 
 echo '{"k": 2, "d": 3, "sample_sizes": [20, 100]}' > "$tmp/est-a.json"
 echo '{"k": 3, "d": 2, "alpha0": 0.5, "sigma": 0.2, "sample_sizes": [50, 200]}' > "$tmp/est-b.json"

@@ -61,7 +61,7 @@ class OfuReluConfig:
         _require_ints(self, "t0")
         if self.t0 < 1:
             raise ValueError("t0 must be at least 1")
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:  # NaN fails too
             raise ValueError("nu must be nonnegative")
 
 
@@ -70,7 +70,7 @@ class OfuReluPlusConfig:
     """Batched variant: initial gap guess nu0 shrunk by b per batch.
 
     Batch i covers rounds ((a^(i-1) - 1) T1, (a^i - 1) T1]; its exploration
-    length comes from the t0 schedule increments under ``schedule`` unless
+    length comes from the t0 schedule increments (``build_batch_grid``) unless
     ``practical_override`` supplies per-batch lengths (each clamped to its batch).
     """
 
@@ -78,20 +78,23 @@ class OfuReluPlusConfig:
     T1: int
     a: float
     b: float
-    schedule: BoundParams
     ucb: UcbConfig
     fit: FitConfig
+    C1: float = 1.0
+    C2: float = 1.0
     practical_override: tuple[int, ...] | None = None
     label: str = "ofu_relu_plus"
 
     def __post_init__(self):
         _require_ints(self, "T1")
-        if self.nu0 <= 0.0:
+        if not self.nu0 > 0.0:  # NaN fails each of these checks too
             raise ValueError("nu0 must be positive")
         if self.T1 < 1:
             raise ValueError("T1 must be at least 1")
-        if self.a <= 1.0 or self.b <= 1.0:
+        if not (self.a > 1.0 and self.b > 1.0):
             raise ValueError("batch multipliers a and b must exceed 1")
+        if not (self.C1 > 0.0 and self.C2 > 0.0):
+            raise ValueError("C1 and C2 must be positive")
         if self.practical_override is not None:
             sizes = tuple(self.practical_override)
             if not all(_is_int(v) and v >= 0 for v in sizes):
@@ -120,13 +123,13 @@ class BatchGrid:
     explore_sizes: tuple[int, ...]  # one per batch, each at most its batch length: what actually runs
 
 
-def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
+def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGrid:
     """Batch count M = ceil(log(T/T1 + 1) / log a), boundaries (a^i - 1) T1.
 
     The last boundary is clamped to T.  Schedule-derived exploration sizes are
-    the increments max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))); an override
-    list supplies them instead.  Either way each size is clamped to its batch
-    length.
+    the increments max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))) at the run's k
+    and d and the config's ucb.sigma, C1 and C2; an override list supplies
+    them instead.  Either way each size is clamped to its batch length.
     """
     if T < cfg.T1:
         raise ConfigError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
@@ -146,7 +149,8 @@ def build_batch_grid(cfg: OfuReluPlusConfig, T: int) -> BatchGrid:
             )
         sizes = cfg.practical_override[:M]
     else:
-        lengths = [math.ceil(t0_schedule(nu, cfg.schedule, T)) for nu in (cfg.nu0, *nus)]
+        p = BoundParams(k=k, d=d, sigma=cfg.ucb.sigma, delta=cfg.ucb.delta, C1=cfg.C1, C2=cfg.C2)
+        lengths = [math.ceil(t0_schedule(nu, p, T)) for nu in (cfg.nu0, *nus)]
         sizes = [max(0, cur - prev) for prev, cur in zip(lengths, lengths[1:])]
     sizes = tuple(min(size, boundaries[i + 1] - boundaries[i]) for i, size in enumerate(sizes))
     return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes)
@@ -217,7 +221,7 @@ class OfulAgent(_SequentialAgent):
         ridge_update(self._ridge, action, reward)
 
 
-def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, T: int) -> tuple[BatchGrid, int]:
+def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, k: int, d: int, T: int) -> tuple[BatchGrid, int]:
     """The batch grid a ReLU config runs, and the first history row its ridge replays.
 
     OFU-ReLU is one batch [0, T] at gap nu whose window explores t0 rounds
@@ -227,7 +231,7 @@ def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, T: int) -> tuple[B
     if isinstance(cfg, OfuReluConfig):
         t0 = min(cfg.t0, T)
         return BatchGrid(M=1, boundaries=(0, T), nus=(cfg.nu,), explore_sizes=(t0,)), t0
-    return build_batch_grid(cfg, T), 0
+    return build_batch_grid(cfg, k, d, T), 0
 
 
 class OfuReluAgent(_SequentialAgent):
@@ -258,7 +262,7 @@ class OfuReluAgent(_SequentialAgent):
         self.label = cfg.label
         self._k, self._d = k, d
         self._cfg = cfg
-        self.grid, self._replay_start = _resolve_schedule(cfg, T)
+        self.grid, self._replay_start = _resolve_schedule(cfg, k, d, T)
         # the round at which each batch stops exploring
         self._explore_end = [start + size for start, size in zip(self.grid.boundaries, self.grid.explore_sizes)]
         self._estimate: ReluNetwork | None = None

@@ -141,7 +141,7 @@ def _fit_config(p: dict, where: str) -> FitConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int, sigma: float) -> AgentConfig:
+def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int) -> AgentConfig:
     if p["name"] == "random":
         return RandomConfig(label=p["label"])
     ucb = UcbConfig(sigma=p["ucb_sigma"], S=p["S"], delta=p["delta"], lam=p["lambda"])
@@ -149,13 +149,11 @@ def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int, sig
         return OfulConfig(ucb=ucb, label=p["label"])
     if p["name"] == "ofu_relu":
         return OfuReluConfig(t0=p["t0"], nu=p["nu"], ucb=ucb, fit=fit, label=p["label"])
-    # schedule sigma is the environment noise level, not the UCB one
-    sched = BoundParams(k=k, d=d, sigma=sigma, delta=p["delta"], C1=p["C1"], C2=p["C2"])
     cfg = OfuReluPlusConfig(
-        nu0=p["nu0"], T1=p["T1"], a=p["a"], b=p["b"], schedule=sched, ucb=ucb, fit=fit,
+        nu0=p["nu0"], T1=p["T1"], a=p["a"], b=p["b"], ucb=ucb, fit=fit, C1=p["C1"], C2=p["C2"],
         practical_override=p["practical_override"], label=p["label"],
     )
-    grid = build_batch_grid(cfg, T)  # a bad grid fails here, before any output is written
+    grid = build_batch_grid(cfg, k, d, T)  # a bad grid fails here, before any output is written
     if not any(grid.explore_sizes):
         print(f"warning: every exploration window of {p['label']}'s batch grid is empty: "
               f"it never fits and explores at random for all {T} rounds", file=sys.stderr)
@@ -184,7 +182,7 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
         echoes.append(_parse_algorithm(blk, where, (k, T, sigma)))
         fit = _fit_config(echoes[-1]["fit"], f"{where}.fit") if "fit" in echoes[-1] else None
         try:
-            algos.append(_build_algorithm(echoes[-1], fit, k, d, T, sigma))
+            algos.append(_build_algorithm(echoes[-1], fit, k, d, T))
         except ValueError as exc:  # invariant and grid errors carry no location
             raise ConfigError(f"{where}: {exc}") from exc
         except ArithmeticError as exc:  # a finite value whose grid arithmetic over- or underflows

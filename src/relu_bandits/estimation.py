@@ -6,9 +6,9 @@ gradient descent (rows re-normalized to the unit sphere after every step);
 bijection.  The ``*_bound`` evaluators compute the guarantees exactly as
 written: the loss-deviation radius ``zeta_bound``, the parameter-error
 radius ``alpha_bound``, the matching radius ``h_bound``, and the exploration
-length ``t0_schedule``.  They are diagnostics: the agents take their
-exploration lengths from configuration, not from these formulas, because the
-theoretical schedule is astronomically conservative at desk scale.
+length ``t0_schedule``.  They are diagnostics, except that OFU-ReLU+ takes
+its exploration windows from ``t0_schedule`` when no ``practical_override``
+is set, though the schedule is astronomically conservative at desk scale.
 """
 
 from __future__ import annotations
@@ -28,11 +28,16 @@ def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _require_int(name: str, v) -> None:
+    """Raise a ValueError naming a field or argument that breaks that rule."""
+    if not _is_int(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _require_ints(cfg, *names: str) -> None:
-    """Raise a ValueError naming the first of the config's fields that breaks that rule."""
+    """Apply ``_require_int`` to the config's fields, in order."""
     for name in names:
-        if not _is_int(v := getattr(cfg, name)):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
+        _require_int(name, getattr(cfg, name))
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class FitConfig:
         _require_ints(self, "restarts", "max_iters", "seed")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.step_size <= 0.0 or self.tol <= 0.0:
+        if not (self.step_size > 0.0 and self.tol > 0.0):  # NaN fails too
             raise ValueError("step_size and tol must be positive")
 
 
@@ -86,11 +91,11 @@ class BoundParams:
         _require_ints(self, "k", "d")
         if self.k < 1 or self.d < 1:
             raise ValueError("k and d must be positive integers")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:  # NaN fails each of these checks too
             raise ValueError("sigma must be nonnegative")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-        if self.C1 <= 0.0 or self.C2 <= 0.0:
+        if not (self.C1 > 0.0 and self.C2 > 0.0):
             raise ValueError("C1 and C2 must be positive")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .agents import AgentConfig, make_agent
 from .errors import GenerationError
+from .estimation import _require_int
 from .relu_model import ReluNetwork, _unit_rows, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
@@ -98,12 +99,14 @@ def _stream(seed: int, trial: int, tag: int) -> np.random.Generator:
 
 
 def _check_instance(k: int, d: int, alpha0: float, sigma: float) -> None:
-    """The instance-input rule: k >= 1, d >= 2, sigma >= 0 and alpha0 >= 0, at most the separation k rows reach.
+    """The instance-input rule: integers k >= 1 and d >= 2, sigma >= 0, and 0 <= alpha0 <= what k rows reach.
 
     For unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2).  In the
     plane, k >= 3 rows are k lines through the origin, two of which meet at an angle of at most pi/k,
     so they separate by at most 2 sin(pi/(2k)).  At k = 2 that form rounds 1 ulp below sqrt(2).
     """
+    _require_int("k", k)
+    _require_int("d", d)
     for name, value, low in (("k", k, 1), ("d", d, 2), ("sigma", sigma, 0), ("alpha0", alpha0, 0)):
         if not value >= low:  # NaN fails too
             raise ValueError(f"{name} must be at least {low}")
@@ -136,6 +139,7 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng: np.random.Gen
 
 def sample_arms(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians)."""
+    _require_int("m", m)
     if m < 1:
         raise ValueError("m must be at least 1")
     return _unit_rows(rng, m, d)
@@ -151,6 +155,7 @@ def run_trial(
     trial_seed: int = -1,
 ) -> TrialTrace:
     """Play one agent for T rounds and log the full trace."""
+    _require_int("T", T)
     if T < 1:
         raise ValueError("T must be at least 1")
     arms_rng, noise_rng, agent_rng = rng.spawn(3)

@@ -37,9 +37,9 @@ class UcbConfig:
     lam: float = 1.0  # ridge parameter
 
     def __post_init__(self):
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:  # NaN fails this and the checks below
             raise ValueError("sigma must be nonnegative")
-        if self.S <= 0.0:
+        if not self.S > 0.0:
             raise ValueError("S must be positive")
         # the radius takes log(1/delta)
         if not 0.0 < self.delta < 1.0 or math.isinf(1.0 / self.delta):

@@ -310,7 +310,6 @@ class TestCriterion9PlusStructure:
             T1=T1,
             a=a,
             b=b,
-            schedule=BoundParams(k=1, d=2, sigma=0.1, delta=0.1),
             ucb=ucb,
             fit=FitConfig(restarts=3, max_iters=200, seed=0),
             practical_override=override,
@@ -318,7 +317,7 @@ class TestCriterion9PlusStructure:
 
     def test_grid_replay_and_exponent(self, capsys):
         ucb = UcbConfig(sigma=0.1, S=math.sqrt(5.0), delta=0.1, lam=1.0)
-        grid = build_batch_grid(self._cfg((5, 5, 5), ucb), 70)
+        grid = build_batch_grid(self._cfg((5, 5, 5), ucb), 1, 2, 70)
         grid_ok = grid.M == 3 and grid.boundaries == (0, 10, 30, 70)
         ratios = [grid.nus[i + 1] / grid.nus[i] for i in range(grid.M - 1)]
         geom_ok = all(abs(r - 0.5) < 1e-12 for r in ratios) and abs(grid.nus[0] - 0.5) < 1e-12

@@ -14,7 +14,6 @@ from relu_bandits import (
     ProtocolError,
     RandomConfig,
     ReluNetwork,
-    BoundParams,
     UcbConfig,
     eval_f_batch,
     run_trial,
@@ -30,17 +29,8 @@ UCB = UcbConfig(sigma=0.1, S=math.sqrt(5.0), delta=0.1, lam=1.0)
 FIT = FitConfig(restarts=3, max_iters=200, seed=0)
 
 
-def plus_config(override, nu0=1.0, T1=10, a=2.0, b=2.0, k=1, d=2, ucb=UCB):
-    return OfuReluPlusConfig(
-        nu0=nu0,
-        T1=T1,
-        a=a,
-        b=b,
-        schedule=BoundParams(k=k, d=d, sigma=0.1, delta=0.1),
-        ucb=ucb,
-        fit=FIT,
-        practical_override=override,
-    )
+def plus_config(override, nu0=1.0, T1=10, a=2.0, b=2.0, ucb=UCB):
+    return OfuReluPlusConfig(nu0=nu0, T1=T1, a=a, b=b, ucb=ucb, fit=FIT, practical_override=override)
 
 
 class TestConfigValidation:
@@ -76,6 +66,23 @@ class TestConfigValidation:
         for override in ((2.5,), (True,), (-1,)):  # no silent truncation: (2.9, True) is not (2, 1)
             with pytest.raises(ValueError):
                 plus_config(override)
+
+    def test_nu_nan_rejected(self):
+        with pytest.raises(ValueError, match="^nu must be nonnegative"):
+            OfuReluConfig(t0=5, ucb=UCB, fit=FIT, nu=math.nan)
+
+    @pytest.mark.parametrize(
+        "field,message", [("nu0", "nu0 must be"), ("a", "batch multipliers"), ("b", "batch multipliers")]
+    )
+    def test_plus_nan_rejected(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            plus_config(None, **{field: math.nan})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("field", ["C1", "C2"])
+    def test_plus_schedule_constants_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match="^C1 and C2 must be positive"):
+            OfuReluPlusConfig(nu0=1.0, T1=10, a=2.0, b=2.0, ucb=UCB, fit=FIT, **{field: value})
 
 
 class TestProtocol:
@@ -344,45 +351,45 @@ class TestOfuReluSelectMatchesReference:
 
 
 class TestBuildBatchGrid:
+    # the schedule's inputs other than nu come from the run (k, d) and the
+    # agent (ucb.sigma, C1, C2), so one config serves every run shape
+    SHAPE_FREE = OfuReluPlusConfig(nu0=0.8, T1=10, a=2.0, b=2.0 ** 0.125, ucb=UCB, fit=FIT)
+
     def test_doubling_grid(self):
-        grid = build_batch_grid(plus_config((5, 5, 5)), 70)
+        grid = build_batch_grid(plus_config((5, 5, 5)), 1, 2, 70)
         assert grid.M == 3
         assert grid.boundaries == (0, 10, 30, 70)
 
     def test_nu_halving(self):
-        grid = build_batch_grid(plus_config((5, 5, 5), nu0=1.0, b=2.0), 70)
+        grid = build_batch_grid(plus_config((5, 5, 5), nu0=1.0, b=2.0), 1, 2, 70)
         assert grid.nus == pytest.approx((0.5, 0.25, 0.125))
 
     def test_override_verbatim(self):
         # within its batch an override length is kept verbatim; beyond it, clamped to the batch
-        assert build_batch_grid(plus_config((5, 10, 10)), 70).explore_sizes == (5, 10, 10)
-        assert build_batch_grid(plus_config((20, 30, 50)), 70).explore_sizes == (10, 20, 40)
+        assert build_batch_grid(plus_config((5, 10, 10)), 1, 2, 70).explore_sizes == (5, 10, 10)
+        assert build_batch_grid(plus_config((20, 30, 50)), 1, 2, 70).explore_sizes == (10, 20, 40)
 
     def test_override_too_short(self):
         with pytest.raises(ConfigError):
-            build_batch_grid(plus_config((20, 10)), 70)
+            build_batch_grid(plus_config((20, 10)), 1, 2, 70)
 
     def test_T_below_T1(self):
         with pytest.raises(ConfigError):
-            build_batch_grid(plus_config((5,)), 5)
+            build_batch_grid(plus_config((5,)), 1, 2, 5)
 
     def test_schedule_plateau_gives_zero_increments(self):
-        # d^6 dominates d^2/nu^8 for every nu in this grid, so the schedule
-        # is constant and the per-batch increments vanish
-        cfg = OfuReluPlusConfig(
-            nu0=4.0,
-            T1=10,
-            a=2.0,
-            b=2.0 ** 0.125,
-            schedule=BoundParams(k=1, d=4, sigma=0.1, delta=0.1),
-            ucb=UCB,
-            fit=FIT,
-        )
-        grid = build_batch_grid(cfg, 150)
+        # at k = 1, d = 4, d^6 dominates d^2/nu^8 for every nu in this grid,
+        # so the schedule is constant and the per-batch increments vanish
+        grid = build_batch_grid(self.SHAPE_FREE, 1, 4, 150)
         assert all(s == 0 for s in grid.explore_sizes[1:])
 
+    def test_schedule_follows_the_run_dimension(self):
+        # at d = 2 the same config's nu_2..nu_4 fall below 2^(-1/2), where
+        # d^2/nu^8 takes over and grows, so those windows fill their batches
+        assert build_batch_grid(self.SHAPE_FREE, 1, 2, 150).explore_sizes == (0, 20, 40, 80)
+
     def test_last_boundary_clamped_to_T(self):
-        grid = build_batch_grid(plus_config((5, 5, 5)), 60)
+        grid = build_batch_grid(plus_config((5, 5, 5)), 1, 2, 60)
         assert grid.boundaries[-1] == 60
         assert all(b2 > b1 for b1, b2 in zip(grid.boundaries, grid.boundaries[1:]))
 
@@ -398,7 +405,7 @@ class TestOfuReluPlusAgent:
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         truth = ReluNetwork(w)
         inst = Instance(truth=truth, sigma=sigma)
-        cfg = cfg or plus_config(override, k=k, d=d)
+        cfg = cfg or plus_config(override)
         agent = OfuReluAgent(k, d, T, cfg)
         self.patch_trial(agent=agent)
         tr = run_trial(inst, None, T, 10, np.random.default_rng(seed + 1))

@@ -368,11 +368,15 @@ class TestSimulate:
             ({"name": "oful", "lambda": 1e-320}, "algorithms[0]: lambda"),  # 1/lambda is inf
             ({"name": "ofu_relu", "lambda": 1e-16}, "algorithms[0]: lambda"),  # below sqrt(eps)
             ({"name": "ofu_relu", "delta": 1e-320}, "algorithms[0]: delta"),  # 1/delta is inf
+            ({"name": "ofu_relu_plus", "T1": 8, "C1": 0}, "algorithms[0]: C1 and C2 must be positive"),
+            ({"name": "ofu_relu_plus", "T1": 8, "C2": -1.0}, "algorithms[0]: C1 and C2 must be positive"),
+            ({"name": "ofu_relu_plus", "T1": 8, "C1": math.nan}, "key 'C1' in algorithms[0] must be a finite"),
+            ({"name": "ofu_relu_plus", "T1": 8, "C2": math.nan}, "key 'C2' in algorithms[0] must be a finite"),
         ],
         ids=[
             "fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short",
             "nu0-underflow", "b-overflow", "C1-overflow", "lambda-reciprocal", "lambda-tiny",
-            "delta-reciprocal",
+            "delta-reciprocal", "C1-zero", "C2-negative", "C1-nan", "C2-nan",
         ],
     )
     def test_bad_block_exit2_before_output(self, tmp_path, capsys, block, field):
@@ -392,6 +396,18 @@ class TestSimulate:
         plus_refit = CONFIGS.parent / "perfbench" / "workloads" / "plus_refit.json"
         parse_experiment_config(json.loads(plus_refit.read_text()))
         assert capsys.readouterr().err == ""
+
+    def test_plus_schedule_reads_ucb_sigma_not_the_environment_sigma(self):
+        # t0 grows with max(k, sigma)^2, so at k = 1 a noise level of 3 moves the grid; only ucb_sigma
+        # (whose default is sigma) moves it, since no agent reads the environment
+        block = {"name": "ofu_relu_plus", "nu0": 0.5, "b": 2.0 ** 0.125, "C1": 1e-5, "C2": 1e-5}
+
+        def sizes(sigma, ucb_sigma):
+            raw = dict(TINY, T=1000, sigma=sigma, algorithms=[dict(block, ucb_sigma=ucb_sigma)])
+            return agents.build_batch_grid(parse_experiment_config(raw).algorithms[0], 1, 2, 1000).explore_sizes
+
+        assert sizes(0.1, 3.0) == sizes(3.0, 3.0) == (1, 3, 6, 11, 22, 44, 88)
+        assert sizes(3.0, 0.1) == sizes(0.1, 0.1) == (0, 0, 1, 1, 2, 5, 10)
 
     def test_single_trial_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY, trials=1))

@@ -79,12 +79,24 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             FitConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["step_size", "tol"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match="step_size and tol must be positive"):
+            FitConfig(**{field: math.nan})
+
 
 class TestBoundParamsValidation:
     @pytest.mark.parametrize("field,value", [("k", 2.5), ("k", True), ("d", 2.0), ("d", True)])
     def test_integer_fields_reject_floats_and_bools(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             BoundParams(**{"k": 1, "d": 2, "sigma": 0.1, "delta": 0.1, field: value})
+
+    @pytest.mark.parametrize(
+        "field,message", [("sigma", "sigma"), ("delta", "delta"), ("C1", "C1 and C2"), ("C2", "C1 and C2")]
+    )
+    def test_nan_rejected(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            BoundParams(**{"k": 1, "d": 2, "sigma": 0.1, "delta": 0.1, field: math.nan})
 
 
 class TestEmpiricalSqLoss:

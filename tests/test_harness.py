@@ -77,6 +77,14 @@ class TestGenInstance:
             gen_instance(k, d, alpha0, sigma, gen)
         assert gen.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "k,d,name", [(True, 2, "k"), (2.0, 2, "k"), (2, True, "d"), (2, 3.0, "d")],
+        ids=["k-bool", "k-float", "d-bool", "d-float"],
+    )
+    def test_integer_inputs_named(self, k, d, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            gen_instance(k, d, 0.0, 0.1, np.random.default_rng(2))
+
     def test_planar_bound_keeps_sqrt2_at_k2(self):
         # 2 sin(pi/4) rounds 1 ulp below sqrt(2), so two rows keep sqrt(2) in the plane too
         _check_instance(2, 2, math.sqrt(2.0), 0.1)
@@ -124,6 +132,11 @@ class TestSampleArms:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             sample_arms(0, 2, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("m", [3.0, True])
+    def test_integer_m_named(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            sample_arms(m, 2, np.random.default_rng(8))
 
     @pytest.mark.parametrize("d", [2, 3, 7, 8, 9])
     def test_matches_reference_bits_and_stream(self, d):
@@ -203,6 +216,15 @@ class TestRunTrial:
         inst, _ = self._coin_flip_setup()
         with pytest.raises(ValueError):
             run_trial(inst, RandomConfig(), 0, 2, np.random.default_rng(18))
+
+    @pytest.mark.parametrize(
+        "T,m,name", [(5.5, 4, "T"), (True, 4, "T"), (5, 4.0, "m"), (5, True, "m")],
+        ids=["T-float", "T-bool", "m-float", "m-bool"],
+    )
+    def test_integer_inputs_named(self, T, m, name):
+        inst, _ = self._coin_flip_setup()
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_trial(inst, RandomConfig(), T, m, np.random.default_rng(18))
 
     def test_no_override_keywords(self):
         # a fixed arm set or a prebuilt agent is a test's patch (the patch_trial fixture), not an input

@@ -38,6 +38,11 @@ class TestUcbConfigValidation:
         with pytest.raises(ValueError):
             UcbConfig(sigma=0.1, S=1.0, delta=0.5, lam=0.0)
 
+    @pytest.mark.parametrize("field", ["sigma", "S"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            UcbConfig(**{"sigma": 0.1, "S": 1.0, "delta": 0.5, "lam": 1.0, field: math.nan})
+
 
 class TestInitState:
     def test_fresh_fields(self):
