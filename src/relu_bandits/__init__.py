@@ -22,7 +22,7 @@ from .errors import (
     ProtocolError,
     UnsupportedDimensionError,
 )
-from .estimation import BoundParams, FitConfig, alpha_bound, fit_erm, h_bound, match_neurons, t0_schedule, zeta_bound
+from .estimation import FitConfig, alpha_bound, fit_erm, h_bound, match_neurons, t0_schedule, zeta_bound
 from .harness import AggregateResult, Instance, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import ReluNetwork, eval_f_batch
@@ -30,7 +30,6 @@ from .reporting import emit_svg, export_csv, write_summary
 
 __all__ = [
     "AggregateResult",
-    "BoundParams",
     "BoundVacuousError",
     "ConfigError",
     "DimensionMismatchError",

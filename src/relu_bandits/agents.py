@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .estimation import BoundParams, FitConfig, _is_int, _require_ints, fit_erm, t0_schedule
+from .estimation import FitConfig, _is_int, _require_ints, fit_erm, t0_schedule
 from .linear_ucb import LinearUcbState, UcbConfig, ridge_update, ucb_select
 from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
 
@@ -61,8 +61,8 @@ class OfuReluConfig:
         _require_ints(self, "t0")
         if self.t0 < 1:
             raise ValueError("t0 must be at least 1")
-        if not self.nu >= 0.0:  # NaN fails too
-            raise ValueError("nu must be nonnegative")
+        if not 0.0 <= self.nu < math.inf:  # NaN fails too
+            raise ValueError("nu must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,14 @@ class OfuReluPlusConfig:
 
     def __post_init__(self):
         _require_ints(self, "T1")
-        if not self.nu0 > 0.0:  # NaN fails each of these checks too
-            raise ValueError("nu0 must be positive")
+        if not 0.0 < self.nu0 < math.inf:  # NaN fails each of these checks too
+            raise ValueError("nu0 must be positive and finite")
         if self.T1 < 1:
             raise ValueError("T1 must be at least 1")
-        if not (self.a > 1.0 and self.b > 1.0):
-            raise ValueError("batch multipliers a and b must exceed 1")
-        if not (self.C1 > 0.0 and self.C2 > 0.0):
-            raise ValueError("C1 and C2 must be positive")
+        if not (1.0 < self.a < math.inf and 1.0 < self.b < math.inf):
+            raise ValueError("batch multipliers a and b must exceed 1 and be finite")
+        if not (0.0 < self.C1 < math.inf and 0.0 < self.C2 < math.inf):
+            raise ValueError("C1 and C2 must be positive and finite")
         if self.practical_override is not None:
             sizes = tuple(self.practical_override)
             if not all(_is_int(v) and v >= 0 for v in sizes):
@@ -149,8 +149,7 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
             )
         sizes = cfg.practical_override[:M]
     else:
-        p = BoundParams(k=k, d=d, sigma=cfg.ucb.sigma, delta=cfg.ucb.delta, C1=cfg.C1, C2=cfg.C2)
-        lengths = [math.ceil(t0_schedule(nu, p, T)) for nu in (cfg.nu0, *nus)]
+        lengths = [math.ceil(t0_schedule(nu, k, d, cfg.ucb.sigma, T, C1=cfg.C1, C2=cfg.C2)) for nu in (cfg.nu0, *nus)]
         sizes = [max(0, cur - prev) for prev, cur in zip(lengths, lengths[1:])]
     sizes = tuple(min(size, boundaries[i + 1] - boundaries[i]) for i, size in enumerate(sizes))
     return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes)

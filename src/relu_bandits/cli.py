@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
 from .errors import ConfigError
-from .estimation import BoundParams, FitConfig, _is_int, alpha_bound, fit_erm, match_neurons, zeta_bound
+from .estimation import FitConfig, _is_int, alpha_bound, fit_erm, match_neurons, zeta_bound
 from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import eval_f_batch
@@ -260,12 +260,11 @@ def cmd_estimate(args) -> int:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"key 'delta' in config must lie in (0, 1), got {delta}")
     fit = _fit_config(cfg["fit"], "config.fit")
-    p = BoundParams(k=k, d=d, sigma=sigma, delta=delta)
     bounds = []  # every bound is evaluated and checked before the first draw
     for n in sizes:
         given = f"k={k}, d={d}, sigma={sigma:g}, delta={delta:g}, n={n}"
-        zeta = _bound("zeta", given, lambda: zeta_bound(n, p))
-        bounds.append((zeta, _bound("alpha", given, lambda: alpha_bound(zeta, p))))
+        zeta = _bound("zeta", given, lambda: zeta_bound(n, k, d, sigma, delta))
+        bounds.append((zeta, _bound("alpha", given, lambda: alpha_bound(zeta, k, d))))
     inst = gen_instance(k, d, alpha0, sigma, _stream(seed, 0, 0))
     data_rng = _stream(seed, 0, 1)
     for n, (zeta, alpha) in zip(sizes, bounds):

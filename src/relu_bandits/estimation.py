@@ -52,8 +52,10 @@ class FitConfig:
         _require_ints(self, "restarts", "max_iters", "seed")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if not (self.step_size > 0.0 and self.tol > 0.0):  # NaN fails too
-            raise ValueError("step_size and tol must be positive")
+        if not 0.0 < self.step_size < math.inf:  # NaN fails this and the check below
+            raise ValueError("step_size must be positive and finite")
+        if not self.tol > 0.0:  # unbounded: a huge tol freezes every restart at once
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,34 +71,6 @@ class MatchResult:
     signs: np.ndarray
     errors: np.ndarray
     max_error: float
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Shared inputs of the bound evaluators.
-
-    delta is nominally a confidence in (0, 1); values >= 1 are accepted so the
-    formulas can be probed at diagnostic inputs (only positivity is required
-    for log(4/delta) to exist).  The CLI enforces (0, 1) for user inputs.
-    """
-
-    k: int
-    d: int
-    sigma: float
-    delta: float
-    C1: float = 1.0
-    C2: float = 1.0
-
-    def __post_init__(self):
-        _require_ints(self, "k", "d")
-        if self.k < 1 or self.d < 1:
-            raise ValueError("k and d must be positive integers")
-        if not self.sigma >= 0.0:  # NaN fails each of these checks too
-            raise ValueError("sigma must be nonnegative")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
-        if not (self.C1 > 0.0 and self.C2 > 0.0):
-            raise ValueError("C1 and C2 must be positive")
 
 
 def _as_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -194,30 +168,48 @@ def match_neurons(est: ReluNetwork, truth: ReluNetwork) -> MatchResult:
     return MatchResult(perm=perm, signs=signs, errors=errors, max_error=float(errors.max()))
 
 
-def zeta_bound(n: int, p: BoundParams) -> float:
+def _require_sizes(k, d, sigma: float = 0.0) -> None:
+    """The bound evaluators' rule for the sizes and noise level they read: integers k, d >= 1, sigma >= 0."""
+    _require_int("k", k)
+    _require_int("d", d)
+    if k < 1 or d < 1:
+        raise ValueError("k and d must be positive integers")
+    if not sigma >= 0.0:  # NaN fails this and each of the evaluators' range checks too
+        raise ValueError("sigma must be nonnegative")
+
+
+def zeta_bound(n: int, k: int, d: int, sigma: float, delta: float) -> float:
     """Loss-deviation radius after n uniform exploration samples.
 
     zeta = sqrt((4096 k^2 max(k,sigma)^2 / n)
                 * (d k max(1, log(1 + sqrt(n/(d k)))) + log(4/delta))).
+
+    delta is nominally a confidence in (0, 1); values >= 1 are accepted so the
+    formula can be probed at diagnostic inputs (only positivity is required
+    for log(4/delta) to exist).  The CLI enforces (0, 1) for user inputs.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    ks = max(float(p.k), p.sigma)
-    lead = 4096.0 * p.k**2 * ks**2 / n
-    bracket = p.d * p.k * max(1.0, math.log(1.0 + math.sqrt(n / (p.d * p.k)))) + math.log(4.0 / p.delta)
+    _require_sizes(k, d, sigma)
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+    if not 1 <= n < math.inf:
+        raise ValueError("n must be finite and at least 1")
+    ks = max(float(k), sigma)
+    lead = 4096.0 * k**2 * ks**2 / n
+    bracket = d * k * max(1.0, math.log(1.0 + math.sqrt(n / (d * k)))) + math.log(4.0 / delta)
     if bracket < 0.0:
         raise NumericError("radicand is negative at these inputs")
     return math.sqrt(lead * bracket)
 
 
-def alpha_bound(zeta: float, p: BoundParams) -> float:
+def alpha_bound(zeta: float, k: int, d: int) -> float:
     """Parameter-error radius implied by a loss deviation of zeta.
 
     alpha = 727 * pi^(-1/4) * k * d^(1/4) * (2 zeta)^(1/4); linear in k.
     """
-    if zeta < 0.0:
-        raise ValueError("zeta must be nonnegative")
-    return 727.0 * math.pi ** (-0.25) * p.k * p.d**0.25 * (2.0 * zeta) ** 0.25
+    _require_sizes(k, d)
+    if not 0.0 <= zeta < math.inf:
+        raise ValueError("zeta must be nonnegative and finite")
+    return 727.0 * math.pi ** (-0.25) * k * d**0.25 * (2.0 * zeta) ** 0.25
 
 
 def _log_sphere_area(n_minus_1: int) -> float:
@@ -242,14 +234,13 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
     Numerator and denominator are divided through by |S^(d-2)|, so neither
     the value nor the sign depends on an area that underflows at large d.
     """
+    _require_sizes(k, d)
     if d < 3:
         raise UnsupportedDimensionError(f"h is defined for d >= 3 only, got d={d}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
+    if not 0.0 < eps < math.inf:  # NaN fails this and the check below too
+        raise ValueError("eps must be positive and finite")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError("eta must be nonnegative and finite")
     log_high = _log_sphere_area(d - 2)
     num = k * eps**3 * math.exp(_log_sphere_area(d - 3) - log_high) / 2.0
     den = eps**2 * (1.0 - d * eps**2 / 2.0) / 8.0 - 6.0 * k * d * eps**3
@@ -261,7 +252,7 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
     return num / den
 
 
-def t0_schedule(nu: float, p: BoundParams, T: float) -> float:
+def t0_schedule(nu: float, k: int, d: int, sigma: float, T: float, *, C1: float, C2: float) -> float:
     """Theoretical exploration length sufficient for a matched error nu/2 at horizon T.
 
     t1(nu) = C1 k^10 d^2 max(k,sigma)^2 / nu^8 * B,
@@ -271,12 +262,15 @@ def t0_schedule(nu: float, p: BoundParams, T: float) -> float:
     once t2 dominates.  Requires T >= e so log log T is defined and
     nonnegative.
     """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    if T < math.e:
-        raise ValueError("T must be at least e for log log T to be defined")
-    ks = max(float(p.k), p.sigma)
-    bracket = p.d * p.k * max(math.log(p.d * ks), math.log(math.log(T))) + math.log(64.0 * T)
-    t1 = p.C1 * p.k**10 * p.d**2 * ks**2 / nu**8 * bracket
-    t2 = p.C2 * p.k**10 * p.d**6 * ks**2 * bracket
+    _require_sizes(k, d, sigma)
+    if not (C1 > 0.0 and C2 > 0.0):
+        raise ValueError("C1 and C2 must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError("nu must be positive and finite")
+    if not math.e <= T < math.inf:
+        raise ValueError("T must be finite and at least e for log log T to be defined")
+    ks = max(float(k), sigma)
+    bracket = d * k * max(math.log(d * ks), math.log(math.log(T))) + math.log(64.0 * T)
+    t1 = C1 * k**10 * d**2 * ks**2 / nu**8 * bracket
+    t2 = C2 * k**10 * d**6 * ks**2 * bracket
     return max(t1, t2)

@@ -138,10 +138,13 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng: np.random.Gen
 
 
 def sample_arms(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians)."""
+    """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians), for integers m >= 1 and d >= 2."""
     _require_int("m", m)
+    _require_int("d", d)
     if m < 1:
         raise ValueError("m must be at least 1")
+    if d < 2:
+        raise ValueError("d must be at least 2")
     return _unit_rows(rng, m, d)
 
 

@@ -29,6 +29,12 @@ REFACTOR_EVERY = 512
 LAMBDA_MIN = math.sqrt(np.finfo(float).eps)  # ~1.49e-8
 
 
+def _require_lam(lam: float) -> None:
+    """The one ridge rule: below sqrt(eps) the Sherman-Morrison updates lose the ridge solution."""
+    if not LAMBDA_MIN <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and at least sqrt(machine epsilon) = {LAMBDA_MIN:.3g}")
+
+
 @dataclass(frozen=True)
 class UcbConfig:
     sigma: float  # subgaussian noise scale
@@ -37,16 +43,14 @@ class UcbConfig:
     lam: float = 1.0  # ridge parameter
 
     def __post_init__(self):
-        if not self.sigma >= 0.0:  # NaN fails this and the checks below
-            raise ValueError("sigma must be nonnegative")
-        if not self.S > 0.0:
-            raise ValueError("S must be positive")
+        if not 0.0 <= self.sigma < math.inf:  # NaN fails this and the checks below
+            raise ValueError("sigma must be nonnegative and finite")
+        if not 0.0 < self.S < math.inf:
+            raise ValueError("S must be positive and finite")
         # the radius takes log(1/delta)
         if not 0.0 < self.delta < 1.0 or math.isinf(1.0 / self.delta):
             raise ValueError("delta must lie in (0, 1) and have a finite reciprocal")
-        # below sqrt(eps) the Sherman-Morrison updates lose the ridge solution
-        if not self.lam >= LAMBDA_MIN:
-            raise ValueError(f"lambda must be at least sqrt(machine epsilon) = {LAMBDA_MIN:.3g}")
+        _require_lam(self.lam)
 
 
 class LinearUcbState:
@@ -55,8 +59,7 @@ class LinearUcbState:
     def __init__(self, dim: int, lam: float = 1.0):
         if dim < 1:
             raise ValueError("dim must be positive")
-        if not lam >= LAMBDA_MIN:
-            raise ValueError(f"lambda must be at least sqrt(machine epsilon) = {LAMBDA_MIN:.3g}")
+        _require_lam(lam)
         eye = np.eye(dim)
         self.dim = dim
         self.lam = lam

@@ -20,7 +20,6 @@ import pytest
 
 from relu_bandits import (
     BoundVacuousError,
-    BoundParams,
     FitConfig,
     Instance,
     OfuReluPlusConfig,
@@ -208,11 +207,9 @@ class TestCriterion5StripIntegral:
 class TestCriterion6BoundEvaluators:
     def test_spot_values_and_monotonicity(self, capsys):
         # spot values against an independent high-precision evaluation
-        p_zeta = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e)
-        z_impl = zeta_bound(4096, p_zeta)
+        z_impl = zeta_bound(4096, 1, 1, 1.0, 4.0 / math.e)
         z_orac = mp_zeta(4096, 1, 1, 1.0, 4.0 / math.e)
-        p_alpha = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
-        a_impl = alpha_bound(0.5, p_alpha)
+        a_impl = alpha_bound(0.5, 1, 1)
         a_orac = mp_alpha(0.5, 1, 1)
         zeta_ok = abs(z_impl - z_orac) <= 5e-4 * abs(z_orac)  # 4 significant digits
         alpha_ok = abs(a_impl - a_orac) <= 5e-4 * abs(a_orac)
@@ -231,13 +228,12 @@ class TestCriterion6BoundEvaluators:
             h_ok = h_ok and want is not None and abs(h_bound(0.0, eps, 1, 3) - want) <= 5e-4 * want
         # monotonicity grids
         zeta_mono = all(
-            zeta_bound(2 * n, p_zeta) < zeta_bound(n, p_zeta) for n in (8, 32, 128, 512, 2048)
+            zeta_bound(2 * n, 1, 1, 1.0, 4.0 / math.e) < zeta_bound(n, 1, 1, 1.0, 4.0 / math.e)
+            for n in (8, 32, 128, 512, 2048)
         )
-        p_t0 = BoundParams(k=2, d=3, sigma=0.5, delta=0.1)
         nus = (0.05, 0.1, 0.2, 0.4, 0.8)
-        t0_mono = all(
-            t0_schedule(a, p_t0, 1000.0) >= t0_schedule(b, p_t0, 1000.0) for a, b in zip(nus, nus[1:])
-        )
+        t0 = [t0_schedule(nu, 2, 3, 0.5, 1000.0, C1=1.0, C2=1.0) for nu in nus]
+        t0_mono = all(a >= b for a, b in zip(t0, t0[1:]))
         ok = zeta_ok and alpha_ok and h_ok and zeta_mono and t0_mono
         report(
             capsys, 6,

@@ -68,17 +68,19 @@ class TestConfigValidation:
                 plus_config(override)
 
     def test_nu_nan_rejected(self):
-        with pytest.raises(ValueError, match="^nu must be nonnegative"):
-            OfuReluConfig(t0=5, ucb=UCB, fit=FIT, nu=math.nan)
+        for nu in (math.nan, math.inf):  # an infinite gap would filter every arm out every round
+            with pytest.raises(ValueError, match="^nu must be nonnegative and finite"):
+                OfuReluConfig(t0=5, ucb=UCB, fit=FIT, nu=nu)
 
     @pytest.mark.parametrize(
         "field,message", [("nu0", "nu0 must be"), ("a", "batch multipliers"), ("b", "batch multipliers")]
     )
     def test_plus_nan_rejected(self, field, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            plus_config(None, **{field: math.nan})
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                plus_config(None, **{field: value})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["C1", "C2"])
     def test_plus_schedule_constants_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match="^C1 and C2 must be positive"):

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import sys
 
@@ -5,7 +7,6 @@ import numpy as np
 import pytest
 
 from relu_bandits import (
-    BoundParams,
     BoundVacuousError,
     FitConfig,
     FitError,
@@ -81,22 +82,63 @@ class TestFitConfigValidation:
 
     @pytest.mark.parametrize("field", ["step_size", "tol"])
     def test_nan_rejected(self, field):
-        with pytest.raises(ValueError, match="step_size and tol must be positive"):
-            FitConfig(**{field: math.nan})
+        # tol stays unbounded above: a huge tol freezes every restart, and tests use tol up to 1e3
+        for value in (math.nan, math.inf) if field == "step_size" else (math.nan,):
+            with pytest.raises(ValueError, match=f"^{field} must be positive"):
+                FitConfig(**{field: value})
+
+
+# each evaluator called with the parameters it reads, from one valid set
+BOUND_CALLS = {
+    "zeta": lambda p: zeta_bound(100, p["k"], p["d"], p["sigma"], p["delta"]),
+    "alpha": lambda p: alpha_bound(0.5, p["k"], p["d"]),
+    "t0": lambda p: t0_schedule(0.5, p["k"], p["d"], p["sigma"], 1000.0, C1=p["C1"], C2=p["C2"]),
+}
+BOUND_READS = {"k": "zeta alpha t0", "d": "zeta alpha t0", "sigma": "zeta t0", "delta": "zeta", "C1": "t0", "C2": "t0"}
 
 
 class TestBoundParamsValidation:
+    """Every evaluator that reads a parameter checks it, with one message per parameter."""
+
+    @staticmethod
+    def calls_reading(field, value):
+        p = dict({"k": 1, "d": 2, "sigma": 0.1, "delta": 0.1, "C1": 1.0, "C2": 1.0}, **{field: value})
+        return [functools.partial(BOUND_CALLS[name], p) for name in BOUND_READS[field].split()]
+
     @pytest.mark.parametrize("field,value", [("k", 2.5), ("k", True), ("d", 2.0), ("d", True)])
     def test_integer_fields_reject_floats_and_bools(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            BoundParams(**{"k": 1, "d": 2, "sigma": 0.1, "delta": 0.1, field: value})
+        for call in self.calls_reading(field, value):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                call()
 
     @pytest.mark.parametrize(
         "field,message", [("sigma", "sigma"), ("delta", "delta"), ("C1", "C1 and C2"), ("C2", "C1 and C2")]
     )
     def test_nan_rejected(self, field, message):
-        with pytest.raises(ValueError, match=f"^{message} must be"):
-            BoundParams(**{"k": 1, "d": 2, "sigma": 0.1, "delta": 0.1, field: math.nan})
+        for call in self.calls_reading(field, math.nan):
+            with pytest.raises(ValueError, match=f"^{message} must be"):
+                call()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("k", 0, "k and d"), ("d", 0, "k and d"), ("sigma", -0.1, "sigma"), ("C1", 0.0, "C1 and C2"),
+         ("C2", -1.0, "C1 and C2")],
+    )
+    def test_out_of_range_rejected(self, field, value, message):
+        for call in self.calls_reading(field, value):
+            with pytest.raises(ValueError, match=f"^{message} must be"):
+                call()
+
+    def test_each_evaluator_takes_only_what_it_reads(self):
+        params = {f: list(inspect.signature(f).parameters) for f in (zeta_bound, alpha_bound, t0_schedule)}
+        assert params == {
+            zeta_bound: ["n", "k", "d", "sigma", "delta"],
+            alpha_bound: ["zeta", "k", "d"],
+            t0_schedule: ["nu", "k", "d", "sigma", "T", "C1", "C2"],
+        }
+        with pytest.raises(TypeError):  # the constants are keyword-only and have no default
+            t0_schedule(0.5, 1, 2, 0.1, 1000.0)
+        assert not hasattr(estimation, "BoundParams")
 
 
 class TestEmpiricalSqLoss:
@@ -337,51 +379,51 @@ class TestMatchNeurons:
 
 class TestZetaBound:
     def test_spot_value(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e)
-        z = zeta_bound(4096, p)
+        z = zeta_bound(4096, 1, 1, 1.0, 4.0 / math.e)
         assert z == pytest.approx(math.sqrt(math.log(65.0) + 1.0), abs=1e-12)
         assert z == pytest.approx(mp_zeta(4096, 1, 1, 1.0, 4.0 / math.e), abs=1e-12)
 
     def test_monotone_in_n(self):
-        p = BoundParams(k=2, d=3, sigma=0.5, delta=0.1)
         for n in (16, 64, 256, 1024):
-            assert zeta_bound(2 * n, p) < zeta_bound(n, p)
+            assert zeta_bound(2 * n, 2, 3, 0.5, 0.1) < zeta_bound(n, 2, 3, 0.5, 0.1)
 
     def test_sigma_zero_equals_sigma_one_at_k1(self):
-        a = BoundParams(k=1, d=1, sigma=0.0, delta=4.0 / math.e)
-        b = BoundParams(k=1, d=1, sigma=1.0, delta=4.0 / math.e)
-        assert zeta_bound(4096, a) == zeta_bound(4096, b)
+        assert zeta_bound(4096, 1, 1, 0.0, 4.0 / math.e) == zeta_bound(4096, 1, 1, 1.0, 4.0 / math.e)
 
     def test_bad_n(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1)
         with pytest.raises(ValueError):
-            zeta_bound(0, p)
+            zeta_bound(0, 1, 2, 0.1, 0.1)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_n_must_be_finite(self, n):
+        with pytest.raises(ValueError, match="^n must be finite"):
+            zeta_bound(n, 1, 2, 0.1, 0.1)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
-            BoundParams(k=1, d=2, sigma=0.1, delta=0.0)
+            zeta_bound(100, 1, 2, 0.1, 0.0)
 
 
 class TestAlphaBound:
     def test_zero_zeta(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
-        assert alpha_bound(0.0, p) == 0.0
+        assert alpha_bound(0.0, 1, 1) == 0.0
 
     def test_spot_value(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
-        a = alpha_bound(0.5, p)
+        a = alpha_bound(0.5, 1, 1)
         assert a == pytest.approx(727.0 * math.pi ** -0.25, abs=1e-9)
         assert a == pytest.approx(mp_alpha(0.5, 1, 1), abs=1e-9)
 
     def test_linear_in_k(self):
-        p1 = BoundParams(k=1, d=2, sigma=0.1, delta=0.5)
-        p2 = BoundParams(k=2, d=2, sigma=0.1, delta=0.5)
-        assert alpha_bound(1.0, p2) == pytest.approx(2.0 * alpha_bound(1.0, p1), rel=1e-12)
+        assert alpha_bound(1.0, 2, 2) == pytest.approx(2.0 * alpha_bound(1.0, 1, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf])
+    def test_zeta_must_be_finite(self, zeta):
+        with pytest.raises(ValueError, match="^zeta must be nonnegative and finite"):
+            alpha_bound(zeta, 1, 2)
 
     def test_negative_zeta_rejected(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.5)
         with pytest.raises(ValueError):
-            alpha_bound(-1.0, p)
+            alpha_bound(-1.0, 1, 2)
 
 
 class TestHBound:
@@ -399,6 +441,23 @@ class TestHBound:
         assert h_bound(0.0, 0.001, 1, 3) == pytest.approx(0.0014874319811718861, rel=1e-12)
         assert h_bound(0.0, 0.002, 1, 3) == pytest.approx(0.003576545714528951, rel=1e-12)
         assert h_bound(0.0, 0.003, 1, 3) == pytest.approx(0.006725016587903917, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_eta_must_be_finite(self, eta):
+        # a NaN eta used to fall through to the eta = 0 value, 0.0014874...
+        with pytest.raises(ValueError, match="^eta must be nonnegative and finite"):
+            h_bound(eta, 0.001, 1, 3)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="^eps must be positive and finite"):
+            h_bound(0.0, eps, 1, 3)
+
+    @pytest.mark.parametrize("k,d,name", [(1.5, 3, "k"), (True, 3, "k"), (1, 3.0, "d"), (1, True, "d")])
+    def test_integer_k_and_d_named(self, k, d, name):
+        # the rule of the other evaluators: k = 1.5 used to give a value, True the k = 1 one
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            h_bound(0.0, 0.001, k, d)
 
     def test_d2_unsupported(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -438,26 +497,31 @@ class TestHBound:
 
 class TestT0Schedule:
     def test_spot_value(self):
-        p = BoundParams(k=1, d=1, sigma=1.0, delta=0.5)
-        t = t0_schedule(1.0, p, math.e)
+        t = t0_schedule(1.0, 1, 1, 1.0, math.e, C1=1.0, C2=1.0)
         assert t == pytest.approx(math.log(64.0 * math.e), abs=1e-12)
         assert t == pytest.approx(mp_t0(1.0, 1, 1, 1.0, math.e), abs=1e-12)
 
     def test_monotone_in_nu(self):
-        p = BoundParams(k=2, d=3, sigma=0.5, delta=0.1)
-        assert t0_schedule(0.1, p, 1000.0) >= t0_schedule(0.2, p, 1000.0)
+        assert t0_schedule(0.1, 2, 3, 0.5, 1000.0, C1=1.0, C2=1.0) >= t0_schedule(0.2, 2, 3, 0.5, 1000.0, C1=1.0, C2=1.0)
 
     def test_constant_once_t2_dominates(self):
-        p = BoundParams(k=1, d=4, sigma=0.1, delta=0.1)
         # d^6 >> d^2/nu^8 for nu near 1, so t2 wins and nu stops mattering
-        assert t0_schedule(1.0, p, 1000.0) == t0_schedule(2.0, p, 1000.0)
+        assert t0_schedule(1.0, 1, 4, 0.1, 1000.0, C1=1.0, C2=1.0) == t0_schedule(2.0, 1, 4, 0.1, 1000.0, C1=1.0, C2=1.0)
 
     def test_bad_nu(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1)
         with pytest.raises(ValueError):
-            t0_schedule(0.0, p, 10.0)
+            t0_schedule(0.0, 1, 2, 0.1, 10.0, C1=1.0, C2=1.0)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_nu_must_be_finite(self, nu):
+        with pytest.raises(ValueError, match="^nu must be positive and finite"):
+            t0_schedule(nu, 1, 2, 0.1, 1000.0, C1=1.0, C2=1.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_T_must_be_finite(self, T):
+        with pytest.raises(ValueError, match="^T must be finite"):
+            t0_schedule(0.5, 1, 2, 0.1, T, C1=1.0, C2=1.0)
 
     def test_small_T_rejected(self):
-        p = BoundParams(k=1, d=2, sigma=0.1, delta=0.1)
         with pytest.raises(ValueError):
-            t0_schedule(1.0, p, 2.0)
+            t0_schedule(1.0, 1, 2, 0.1, 2.0, C1=1.0, C2=1.0)

@@ -138,6 +138,17 @@ class TestSampleArms:
         with pytest.raises(ValueError, match="^m must be an integer"):
             sample_arms(m, 2, np.random.default_rng(8))
 
+    @pytest.mark.parametrize("d", [2.0, True])
+    def test_integer_d_named(self, d):
+        with pytest.raises(ValueError, match="^d must be an integer"):
+            sample_arms(3, d, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_bad_d(self, d):
+        # the instance rule's d >= 2
+        with pytest.raises(ValueError, match="^d must be at least 2"):
+            sample_arms(3, d, np.random.default_rng(8))
+
     @pytest.mark.parametrize("d", [2, 3, 7, 8, 9])
     def test_matches_reference_bits_and_stream(self, d):
         for m in (1, 5, 1000):

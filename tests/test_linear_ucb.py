@@ -40,8 +40,9 @@ class TestUcbConfigValidation:
 
     @pytest.mark.parametrize("field", ["sigma", "S"])
     def test_nan_rejected(self, field):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            UcbConfig(**{"sigma": 0.1, "S": 1.0, "delta": 0.5, "lam": 1.0, field: math.nan})
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                UcbConfig(**{"sigma": 0.1, "S": 1.0, "delta": 0.5, "lam": 1.0, field: value})
 
 
 class TestInitState:
@@ -59,9 +60,9 @@ class TestInitState:
         with pytest.raises(ValueError):
             LinearUcbState(2, lam=-1.0)
 
-    @pytest.mark.parametrize("lam", [float("nan"), 1e-300, 0.0, -1.0])
+    @pytest.mark.parametrize("lam", [float("nan"), 1e-300, 0.0, -1.0, math.inf])
     def test_lambda_floor_is_the_configs(self, lam):
-        # NaN would make logdet nan and 1e-300 a gram_inv of 1e300 * I
+        # NaN would make logdet nan, 1e-300 a gram_inv of 1e300 * I and inf a gram of inf * I
         with pytest.raises(ValueError) as config_err:
             UcbConfig(sigma=0.1, S=1.0, delta=0.5, lam=lam)
         with pytest.raises(ValueError, match=r"sqrt\(machine epsilon\)") as state_err:

@@ -12,7 +12,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # engine and the per-round kernels are imported from their modules
 ROOT_NAMES = [
     # the config dataclasses
-    "BoundParams", "FitConfig", "OfuReluConfig", "OfuReluPlusConfig", "OfulConfig", "RandomConfig", "UcbConfig",
+    "FitConfig", "OfuReluConfig", "OfuReluPlusConfig", "OfulConfig", "RandomConfig", "UcbConfig",
     # the data types
     "AggregateResult", "Instance", "ReluNetwork", "TrialTrace",
     # drawing, running, fitting and scoring
@@ -49,7 +49,7 @@ def test_python_blocks_run_in_order(capsys):
 
 def test_package_root_exports_the_library():
     assert sorted(relu_bandits.__all__) == sorted(ROOT_NAMES)
-    assert len(ROOT_NAMES) == 33
+    assert len(ROOT_NAMES) == 32
     for name in ROOT_NAMES:
         getattr(relu_bandits, name)
     for module, names in BUILDING_BLOCKS.items():  # importable from their modules only
