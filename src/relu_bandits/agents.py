@@ -14,9 +14,10 @@ Policies:
   drives it: OFU-ReLU (``OfuReluConfig``) is one batch [0, T] that explores
   t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no gap
   knowledge: a geometric batch grid shrinks the assumed gap batch by batch,
-  explored rows accumulate across batches, and each refit rebuilds the
-  ridge as one block from the history, lifted under the fresh estimate,
-  so at every UCB round the ridge equals that replay.  The one policy
+  explored rows accumulate across batches, each refit after the first
+  starts its fit from the current estimate, and each refit rebuilds the
+  ridge as one block from the history, lifted under the fresh estimate, so
+  at every UCB round the ridge equals that replay.  The one policy
   difference is where the replay starts: round t0 + 1 for OFU-ReLU, whose
   exploration rows feed the fit only, and round 1 for OFU-ReLU+.
 * ``OfulAgent``: plain linear UCB on the raw d-dimensional arms, the
@@ -240,13 +241,14 @@ class OfuReluAgent(_SequentialAgent):
     returns; OFU-ReLU is the one-batch case of OFU-ReLU+.  The agent keeps one
     history of its T rounds: chosen rows, rewards and an explored flag.
     Within batch i the first explore_sizes[i] rounds sample uniformly; the
-    last of them refits the model on every explored round so far and
+    last of them refits the model on every explored round so far (a later
+    refit starts from the current estimate, ``fit_erm``'s warm path) and
     rebuilds the 2kd ridge state from the history from the replay start,
     lifted under the new estimate and absorbed as one block (features of past
     actions change with the estimate, so the state cannot be patched across
-    a refit).
-    Between refits each UCB round enters the ridge incrementally, so at every
-    UCB round the state equals that replay under the current estimate.
+    a refit).  Between refits each UCB round enters the ridge incrementally,
+    so at every UCB round the state equals that replay under the current
+    estimate.
 
     Until the first refit the agent keeps exploring, counted in
     ``forced_exploration_rounds``.  A UCB round projects the offered arms on
@@ -333,7 +335,7 @@ class OfuReluAgent(_SequentialAgent):
 
     def _refit(self):
         X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
-        self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit)
+        self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit, init=self._estimate)
         self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start
         if start < self._t:  # OFU-ReLU replays nothing; OFU-ReLU+ absorbs its whole replay as one block

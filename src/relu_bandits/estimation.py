@@ -82,7 +82,7 @@ def _as_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
+def fit_erm(X, y, k: int, cfg: FitConfig, init: ReluNetwork | None = None) -> ReluNetwork:
     """Best-of-restarts projected gradient descent on the loss over rows X, labels y.
 
     The restarts descend together as one (R, k, d) stack, their initial rows
@@ -97,7 +97,10 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
     arithmetic of a lone descent, so the result equals running them one after
     another.  The earliest restart with the smallest finite final loss
     (``np.mean``) wins.  Raises FitError if a label is not finite, which
-    makes every loss non-finite, or if every final loss is non-finite.
+    makes every loss non-finite, or if every final loss is non-finite.  Given
+    ``init``, a (k, d) estimate, the fit is one restart from its rows (the warm
+    path), with the same steps, stop rule and redraws; the generator then makes
+    no initial draws.  Another shape of ``init`` raises DimensionMismatchError.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -106,8 +109,13 @@ def fit_erm(X, y, k: int, cfg: FitConfig) -> ReluNetwork:
         raise FitError("labels must be finite")
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
-    W = np.stack([_unit_rows(rng, k, d) for _ in range(cfg.restarts)])
-    live, w = np.arange(cfg.restarts), W.copy()  # the restarts still descending, and their rows
+    if init is None:
+        W = np.stack([_unit_rows(rng, k, d) for _ in range(cfg.restarts)])
+    elif init.weights.shape == (k, d):
+        W = init.weights[None].copy()  # one restart, from the given rows
+    else:
+        raise DimensionMismatchError(f"init has shape {init.weights.shape}, expected ({k}, {d})")
+    live, w = np.arange(len(W)), W.copy()  # the restarts still descending, and their rows
     for _ in range(cfg.max_iters):
         p = w @ X.T  # (L, k, n); the stacked matmul makes each restart's own BLAS call
         resid = np.maximum(p, 0.0).sum(axis=1)

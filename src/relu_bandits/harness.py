@@ -99,7 +99,7 @@ def _stream(seed: int, trial: int, tag: int) -> np.random.Generator:
 
 
 def _check_instance(k: int, d: int, alpha0: float, sigma: float) -> None:
-    """The instance-input rule: integers k >= 1 and d >= 2, sigma >= 0, and 0 <= alpha0 <= what k rows reach.
+    """The instance-input rule: integers k >= 1 and d >= 2, finite sigma >= 0, and 0 <= alpha0 <= what k rows reach.
 
     For unit rows |wi - wj|^2 + |wi + wj|^2 = 4, so no pair separates by more than sqrt(2).  In the
     plane, k >= 3 rows are k lines through the origin, two of which meet at an angle of at most pi/k,
@@ -108,8 +108,8 @@ def _check_instance(k: int, d: int, alpha0: float, sigma: float) -> None:
     _require_int("k", k)
     _require_int("d", d)
     for name, value, low in (("k", k, 1), ("d", d, 2), ("sigma", sigma, 0), ("alpha0", alpha0, 0)):
-        if not value >= low:  # NaN fails too
-            raise ValueError(f"{name} must be at least {low}")
+        if not low <= value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be at least {low} and finite")
     top = 2.0 * math.sin(math.pi / (2 * k)) if d == 2 and k >= 3 else math.sqrt(2.0)
     if k >= 2 and alpha0 > top:
         raise ValueError(f"alpha0={alpha0} is infeasible: {k} unit rows in d={d} separate by at most {top}")

@@ -371,13 +371,15 @@ def _unit_rows_reference(rng: np.random.Generator, k: int, d: int) -> np.ndarray
 
 
 def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_iters: int,
-                      step_size: float, tol: float, seed: int) -> np.ndarray:
+                      step_size: float, tol: float, seed: int, init: np.ndarray | None = None) -> np.ndarray:
     """Best-of-restarts projected gradient descent, one restart after another.
 
     The per-restart loop that ``fit_erm`` replaced with a stacked descent,
     kept verbatim but for its stop rule: a restart stops at its pre-step rows
     once the projected step (redraws included) would move them by at most
-    step_size * tol.  Returns the winning (k, d) weights, or raises
+    step_size * tol.  Given ``init``, (k, d) unit rows, the loop runs one
+    restart that starts there instead, and draws rows only to replace a
+    collapsed one.  Returns the winning (k, d) weights, or raises
     ``FitError`` when every restart's loss went non-finite.
     """
     from relu_bandits import FitError
@@ -386,8 +388,8 @@ def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_i
     rng = np.random.default_rng(seed)
     best_loss = math.inf
     best_w = None
-    for _ in range(restarts):
-        w = _unit_rows_reference(rng, k, X.shape[1])
+    for _ in range(restarts if init is None else 1):
+        w = _unit_rows_reference(rng, k, X.shape[1]) if init is None else np.array(init, dtype=np.float64)
         diverged = False
         for _ in range(max_iters):
             p = w @ X.T  # (k, n)

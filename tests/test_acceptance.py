@@ -2,10 +2,10 @@
 
 Each test prints one CRITERION line (PASS or FAIL with the measured numbers)
 so a plain ``pytest -v`` run doubles as the acceptance report.  The two
-experiment reproductions run the shipped configs at full scale and
-criterion 12 runs to T = 4000, so this module dominates the suite's
-runtime; they are marked ``slow``, and ``pytest -m "not slow"`` leaves them
-out.
+experiment reproductions run the shipped configs at full scale, criterion
+12 runs to T = 4000 and the warm-start gate runs 30 paired OFU-ReLU+
+trials, so this module dominates the suite's runtime; they are marked
+``slow``, and ``pytest -m "not slow"`` leaves them out.
 """
 
 import json
@@ -33,6 +33,7 @@ from relu_bandits import (
     t0_schedule,
     zeta_bound,
 )
+from relu_bandits import agents
 from relu_bandits.agents import OfuReluAgent, build_batch_grid
 from relu_bandits.linear_ucb import LinearUcbState, ridge_update, ucb_select
 from relu_bandits.relu_model import exact_argmax_2d, margin_mask, sign_robust_features_batch
@@ -440,3 +441,33 @@ class TestCriterion12SqrtTGrowth:
             f"(R(4000) - R(20)) / (R(1000) - R(20)): ofu_relu {ratios['ofu_relu']:.3f} <= 2.2 "
             f"and < oful {ratios['oful']:.3f}; 20 trials, {time.time() - start:.0f}s",
         )
+
+
+@pytest.mark.slow
+class TestWarmStartPairedRegret:
+    # frozen before the first run: the plus-refit shape (fig2a's instance, one
+    # ofu_relu_plus block with seven 10-round windows), 30 trials, master seed 7
+    CONFIG = {
+        "k": 3, "d": 2, "T": 1000, "trials": 30, "arms_per_round": 1000, "sigma": 0.1, "alpha0": 0.9, "seed": 7,
+        "algorithms": [{"name": "ofu_relu_plus", "T1": 10, "practical_override": [10] * 7, "lambda": 0.01}],
+    }
+
+    def test_warm_refits_do_not_raise_regret(self, monkeypatch, capsys):
+        # the same trials with every refit warm (as shipped) and cold (fit_erm
+        # without init, 10 fresh restarts per refit): the paired difference of
+        # final regret, warm - cold, must not exceed 0 by more than its 95% half-width
+        start = time.time()
+        cfg = parse_experiment_config(self.CONFIG)
+        warm = np.array([tr.cum_regret[-1] for tr in run_experiment(cfg, jobs=1)[0]])
+        real = agents.fit_erm
+        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, fit, init=None: real(X, y, k, fit))
+        cold = np.array([tr.cum_regret[-1] for tr in run_experiment(cfg, jobs=1)[0]])
+        diff = warm - cold
+        mean, half = diff.mean(), 1.96 * diff.std(ddof=0) / math.sqrt(len(diff))
+        ok = mean - half <= 0.0 and np.any(diff != 0.0)  # and the warm path changed some trial
+        detail = (
+            f"warm {warm.mean():.1f}±{1.96 * warm.std() / math.sqrt(len(warm)):.1f} vs "
+            f"cold {cold.mean():.1f}±{1.96 * cold.std() / math.sqrt(len(cold)):.1f}, "
+            f"paired warm - cold {mean:+.1f}±{half:.1f}, {len(diff)} trials, {time.time() - start:.0f}s"
+        )
+        report(capsys, "warm-start", ok, detail)

@@ -258,7 +258,7 @@ class TestOfuReluAgent:
         # restricted-set best is within 2 * beta * |x|_{V^-1} of the pick
         rng = np.random.default_rng(10)
         truth = ReluNetwork(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg: truth)
+        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg, init=None: truth)
         inst = Instance(truth=truth, sigma=0.05)
         ucb = UcbConfig(sigma=0.05, S=math.sqrt(10.0), delta=0.02, lam=1.0)
         cfg = OfuReluConfig(t0=1, ucb=ucb, fit=FIT, nu=0.0)
@@ -327,7 +327,7 @@ class TestOfuReluSelectMatchesReference:
         # are decided by a tie
         w = np.array([[1.0, 0.0], [0.0, 1.0], [math.sqrt(0.5), math.sqrt(0.5)]])
         est = ReluNetwork(w)
-        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg: est)
+        monkeypatch.setattr(agents, "fit_erm", lambda X, y, k, cfg, init=None: est)
         edge = min(nu / 2.0, 0.5)
         special = np.array([[edge, math.sqrt(1.0 - edge * edge)], [0.0, 1.0], [-0.0, -1.0], [1.0, 0.0]])
         arms = np.concatenate([special, sample_arms(8, 2, np.random.default_rng(23))])
@@ -480,6 +480,24 @@ class TestOfuReluPlusAgent:
         assert X.base is None and y.base is None  # copies, not views of the agent's own record
         X[:] = 0.0
         assert np.abs(agent.history()[0]).sum() > 0.0
+
+    def test_later_refits_start_from_the_current_estimate(self, monkeypatch):
+        # the first fit is cold (init None); each later one gets the estimate
+        # the previous fit returned, and the agent keeps what the fit returns
+        calls, real = [], agents.fit_erm
+
+        def recording_fit(X, y, k, cfg, init=None):
+            est = real(X, y, k, cfg, init=init)
+            calls.append((len(X), init, est))
+            return est
+
+        monkeypatch.setattr(agents, "fit_erm", recording_fit)
+        agent, _ = self._run((6, 3, 0, 2), 80, k=2)
+        assert [n for n, _, _ in calls] == [6, 9, 11]  # the empty third window skips its refit
+        assert calls[0][1] is None
+        for (_, _, prev), (_, init, _) in zip(calls, calls[1:]):
+            assert init is prev
+        assert agent.estimate is calls[-1][2]
 
     def test_empty_window_skips_refit(self):
         agent, _ = self._run((6, 0, 2), 60)

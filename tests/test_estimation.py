@@ -211,21 +211,24 @@ class TestFitErmMatchesPerRestartLoop:
     """The stacked descent returns exactly what one restart after another did."""
 
     @staticmethod
-    def both(X, y, k, restarts, max_iters, step_size, tol, seed):
+    def both(X, y, k, restarts, max_iters, step_size, tol, seed, init=None):
         cfg = FitConfig(restarts=restarts, max_iters=max_iters, step_size=step_size, tol=tol, seed=seed)
         try:
-            got = fit_erm(X, y, k, cfg).weights
+            got = fit_erm(X, y, k, cfg, init=None if init is None else ReluNetwork(init)).weights
         except FitError:
             got = None
         try:
-            want = fit_erm_reference(X, y, k, restarts, max_iters, step_size, tol, seed)
+            want = fit_erm_reference(X, y, k, restarts, max_iters, step_size, tol, seed, init=init)
         except FitError:
             want = None
         return got, want
 
     def test_randomized_bit_identical(self):
-        rng = np.random.default_rng(20240513)
-        failures = 0
+        # each case runs a cold fit, then a warm fit from the cold estimate (as a
+        # refit does) or from random rows; a second generator draws the warm
+        # side, so the cases themselves do not depend on it
+        rng, init_rng = np.random.default_rng(20240513), np.random.default_rng(7)
+        failures = warm = 0
         for _ in range(150):
             k, d, n = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 300))
             truth = ReluNetwork(unit_rows(rng, k, d))
@@ -234,15 +237,23 @@ class TestFitErmMatchesPerRestartLoop:
             if rng.random() < 0.1:
                 y[int(rng.integers(n))] = rng.choice([np.inf, -np.inf, np.nan])
             tol = float(10.0 ** rng.uniform(-9.0, 0.5))  # the upper end freezes restarts early
-            got, want = self.both(
+            args = (
                 X, y, k, int(rng.integers(1, 12)), int(rng.integers(1, 150)),
                 float(rng.uniform(0.05, 1.0)), tol, int(rng.integers(0, 2**31)),
             )
+            got, want = self.both(*args)
             failures += want is None
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
+            init = want if want is not None and init_rng.random() < 0.5 else unit_rows(init_rng, k, d)
+            got, want = self.both(*args, init=init)
+            assert (got is None) == (want is None)
+            if want is not None:
+                warm += 1
+                assert np.array_equal(got, want)
         assert failures > 0  # the non-finite-label cases were exercised
+        assert warm > 100  # and most warm fits returned an estimate
 
     @pytest.mark.parametrize("k,n", [(3, 70), (10, 20)])  # plus-refit's last fit; fig2b's fit at t0 = 20
     def test_shipped_fit_shapes_bit_identical(self, k, n):
@@ -292,6 +303,50 @@ class TestFitErmMatchesPerRestartLoop:
         assert len(draws) > 3  # the collapse branch redrew rows
         assert np.isfinite(est.weights).all()
         np.testing.assert_allclose(np.linalg.norm(est.weights, axis=1), 1.0, atol=1e-12)
+
+
+class TestFitErmWarmStart:
+    """Given ``init``, the fit is one restart from its rows."""
+
+    @staticmethod
+    def data():
+        return TestProjectedStepStop.noisy_data()
+
+    def test_equals_the_one_restart_oracle_and_ignores_restarts(self):
+        X, y = self.data()
+        init = ReluNetwork(unit_rows(np.random.default_rng(4), 3, 2))
+        warm = fit_erm(X, y, 3, FitConfig(), init=init).weights
+        assert np.array_equal(warm, fit_erm_reference(X, y, 3, 10, 600, 0.2, 1e-9, 0, init=init.weights))
+        assert np.array_equal(warm, fit_erm(X, y, 3, FitConfig(restarts=1), init=init).weights)
+        assert not np.array_equal(warm, fit_erm(X, y, 3, FitConfig()).weights)
+
+    def test_starting_at_a_frozen_fit_returns_it(self):
+        # on this data the cold fit freezes every restart (TestProjectedStepStop),
+        # so its winner's next projected step is below tol and the warm fit keeps it
+        X, y = self.data()
+        cold = fit_erm(X, y, 3, FitConfig())
+        assert np.array_equal(fit_erm(X, y, 3, FitConfig(), init=cold).weights, cold.weights)
+
+    def test_collapsed_row_redrawn_from_the_seeded_generator(self):
+        # the only sample is e1 with label 0 and the init row is e1: the
+        # residual is 1, the gradient 2 * e1, and a step of 0.5 lands on the
+        # origin, so the row is redrawn from the first draw of default_rng(seed)
+        init = ReluNetwork(np.array([[1.0, 0.0]]))
+        cfg = FitConfig(restarts=3, max_iters=1, step_size=0.5, seed=11)
+        est = fit_erm([[1.0, 0.0]], [0.0], 1, cfg, init=init).weights
+        np.testing.assert_allclose(est, estimation._unit_rows(np.random.default_rng(11), 1, 2), rtol=0, atol=1e-15)
+        longer = fit_erm([[1.0, 0.0]], [0.0], 1, FitConfig(max_iters=50, step_size=0.5, seed=11), init=init)
+        assert np.array_equal(longer.weights, fit_erm_reference(
+            np.array([[1.0, 0.0]]), np.array([0.0]), 1, 10, 50, 0.5, 1e-9, 11, init=init.weights))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3)])
+    def test_init_shape_must_match_k_and_the_data(self, shape):
+        # unchecked, a wrong k would descend without complaint and a wrong d
+        # would fail inside the first step's matmul, naming nothing
+        X, y = self.data()
+        init = ReluNetwork(unit_rows(np.random.default_rng(5), *shape))
+        with pytest.raises(DimensionMismatchError, match=rf"init has shape \({shape[0]}, {shape[1]}\), expected \(3, 2\)"):
+            fit_erm(X, y, 3, FitConfig(), init=init)
 
 
 class TestProjectedStepStop:

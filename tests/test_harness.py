@@ -78,6 +78,26 @@ class TestGenInstance:
         assert gen.bit_generator.state == state
 
     @pytest.mark.parametrize(
+        "k,alpha0,sigma,name",
+        [(3, 0.0, math.inf, "sigma"), (1, 0.0, math.inf, "sigma"), (1, math.inf, 0.1, "alpha0"),
+         (2, math.inf, 0.1, "alpha0")],
+        ids=["sigma-k3", "sigma-k1", "alpha0-k1", "alpha0-k2"],
+    )
+    def test_infinite_input_rejected_before_drawing(self, k, alpha0, sigma, name):
+        # an infinite sigma makes every reward +-inf; at k = 1 no separation
+        # bound caps alpha0, and at k >= 2 inf is named like any other out-of-range value
+        gen = np.random.default_rng(2)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0 and finite$"):
+            gen_instance(k, 2, alpha0, sigma, gen)
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]], ids=["k1", "k3"])
+    def test_instance_rejects_infinite_sigma(self, rows):
+        with pytest.raises(ValueError, match="^sigma must be at least 0 and finite$"):
+            Instance(truth=ReluNetwork(np.array(rows)), sigma=math.inf)
+
+    @pytest.mark.parametrize(
         "k,d,name", [(True, 2, "k"), (2.0, 2, "k"), (2, True, "d"), (2, 3.0, "d")],
         ids=["k-bool", "k-float", "d-bool", "d-float"],
     )
