@@ -11,7 +11,9 @@
 # So does a fig2a-shape OFU-ReLU+ config on the theoretical exploration
 # schedule, which no shipped config runs: one block whose small C1 and C2 give
 # non-empty windows, and the default block, which never fits.
-# estimate runs on two small configs at two seeds.
+# estimate runs on two small configs at two seeds.  Last, simulate and
+# estimate run on ten configs that each break one checked input; their stdout
+# (empty) and exit code (2) must match, while stderr, the message, may change.
 # Prints one ::warning:: per output that differs or run that fails, then a
 # count for each kind; always exits 0.
 set -u
@@ -95,5 +97,30 @@ for est in est-a est-b; do
   done
 done
 echo "$same of $total estimate outputs identical to $base"
+
+python3 - "$tmp" <<'EOF'
+import json, sys
+sim = {"k": 1, "d": 2, "T": 40, "trials": 2, "arms_per_round": 4, "algorithms": [{"name": "random"}]}
+bad = {
+    "sim-k": dict(sim, k=0), "sim-sigma": dict(sim, sigma=-1), "sim-trials": dict(sim, trials=1),
+    "sim-t0": dict(sim, algorithms=[{"name": "ofu_relu", "t0": 0}]),
+    "sim-nu0": dict(sim, algorithms=[{"name": "ofu_relu_plus", "nu0": 0}]),
+    "sim-a": dict(sim, algorithms=[{"name": "ofu_relu_plus", "a": 1}]),
+    "sim-restarts": dict(sim, algorithms=[{"name": "ofu_relu", "fit": {"restarts": 0}}]),
+    "sim-lambda": dict(sim, algorithms=[{"name": "oful", "lambda": 0}]),
+    "est-delta": {"k": 1, "d": 2, "delta": 1.5}, "est-sample_sizes": {"k": 1, "d": 2, "sample_sizes": [0]},
+}
+for name, cfg in bad.items():
+    json.dump(cfg, open(f"{sys.argv[1]}/bad-{name}.json", "w"))
+EOF
+same=0
+total=0
+for cfg in "$tmp"/bad-sim-*.json; do
+  compare "simulate $(basename "$cfg" .json)" simulate --config "$cfg" --out "$tmp/bad-out" --jobs 1
+done
+for cfg in "$tmp"/bad-est-*.json; do
+  compare "estimate $(basename "$cfg" .json)" estimate --config "$cfg"
+done
+echo "$same of $total invalid-input exit codes identical to $base"
 git worktree remove --force "$tmp/base-tree"
 rm -rf "$tmp"

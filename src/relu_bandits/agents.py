@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
-from .estimation import FitConfig, _is_int, _require_ints, fit_erm, t0_schedule
+from .errors import ConfigError, ProtocolError, _require
+from .estimation import FitConfig, fit_erm, t0_schedule
 from .linear_ucb import LinearUcbState, UcbConfig, ridge_update, ucb_select
 from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
 
@@ -59,11 +59,8 @@ class OfuReluConfig:
     label: str = "ofu_relu"
 
     def __post_init__(self):
-        _require_ints(self, "t0")
-        if self.t0 < 1:
-            raise ValueError("t0 must be at least 1")
-        if not 0.0 <= self.nu < math.inf:  # NaN fails too
-            raise ValueError("nu must be nonnegative and finite")
+        _require("t0", self.t0, 1, integer=True)
+        _require("nu", self.nu, 0.0)  # an infinite gap would filter every arm out every round
 
 
 @dataclass(frozen=True)
@@ -87,19 +84,16 @@ class OfuReluPlusConfig:
     label: str = "ofu_relu_plus"
 
     def __post_init__(self):
-        _require_ints(self, "T1")
-        if not 0.0 < self.nu0 < math.inf:  # NaN fails each of these checks too
-            raise ValueError("nu0 must be positive and finite")
-        if self.T1 < 1:
-            raise ValueError("T1 must be at least 1")
-        if not (1.0 < self.a < math.inf and 1.0 < self.b < math.inf):
-            raise ValueError("batch multipliers a and b must exceed 1 and be finite")
-        if not (0.0 < self.C1 < math.inf and 0.0 < self.C2 < math.inf):
-            raise ValueError("C1 and C2 must be positive and finite")
+        _require("nu0", self.nu0, 0.0, strict=True)
+        _require("T1", self.T1, 1, integer=True)
+        _require("a", self.a, 1.0, strict=True)
+        _require("b", self.b, 1.0, strict=True)
+        _require("C1", self.C1, 0.0, strict=True)
+        _require("C2", self.C2, 0.0, strict=True)
         if self.practical_override is not None:
             sizes = tuple(self.practical_override)
-            if not all(_is_int(v) and v >= 0 for v in sizes):
-                raise ValueError(f"override exploration lengths must be nonnegative integers, got {sizes}")
+            for i, v in enumerate(sizes):  # no silent truncation: (2.9, True) is not (2, 1)
+                _require(f"practical_override[{i}]", v, 0, integer=True)
             object.__setattr__(self, "practical_override", tuple(int(v) for v in sizes))
 
 

@@ -16,8 +16,8 @@ import sys
 from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
-from .errors import ConfigError
-from .estimation import FitConfig, _is_int, alpha_bound, fit_erm, match_neurons, zeta_bound
+from .errors import ConfigError, _is_int, _require
+from .estimation import FitConfig, alpha_bound, fit_erm, match_neurons, zeta_bound
 from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import eval_f_batch
@@ -168,12 +168,10 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
         p["out_dir"] = out_override
     k, d, T, sigma = p["k"], p["d"], p["T"], p["sigma"]
     _check_instance(k, d, p["alpha0"], sigma)
-    if T < 1 or p["arms_per_round"] < 1:
-        raise ConfigError("T and arms_per_round must be positive")
-    if p["trials"] < 2:
-        raise ConfigError("trials must be at least 2 (confidence intervals need two runs)")
-    if p["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
+    _require("T", T, 1, integer=True)
+    _require("arms_per_round", p["arms_per_round"], 1, integer=True)
+    _require("trials", p["trials"], 2, integer=True)  # confidence intervals need two runs
+    _require("seed", p["seed"], 0, integer=True)
     if not p["algorithms"]:
         raise ConfigError("'algorithms' must be a nonempty list")
     algos, echoes = [], []
@@ -209,8 +207,7 @@ def cmd_simulate(args) -> int:
     raw = _load_json(args.config)
     cfg = parse_experiment_config(raw, seed_override=args.seed, out_override=args.out)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
+    _require("--jobs", jobs, 1, integer=True)
     made, path = [], os.path.abspath(cfg.out_dir)
     while not os.path.exists(path):  # the directories makedirs makes, innermost first
         made.append(path)
@@ -252,13 +249,13 @@ def cmd_estimate(args) -> int:
     cfg = _parse(_load_json(args.config), ESTIMATE, "config")
     k, d, sigma, alpha0, delta, sizes = (cfg[key] for key in ("k", "d", "sigma", "alpha0", "delta", "sample_sizes"))
     seed = args.seed if args.seed is not None else cfg["seed"]
-    if not sizes or min(sizes) < 1:
-        raise ConfigError("'sample_sizes' must be a nonempty list of positive integers")
+    if not sizes:
+        raise ConfigError("'sample_sizes' must be a nonempty list")
+    for i, n in enumerate(sizes):
+        _require(f"sample_sizes[{i}]", n, 1, integer=True)
     _check_instance(k, d, alpha0, sigma)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"key 'delta' in config must lie in (0, 1), got {delta}")
+    _require("seed", seed, 0, integer=True)
+    _require("delta", delta, 0.0, 1.0, strict=True)
     fit = _fit_config(cfg["fit"], "config.fit")
     bounds = []  # every bound is evaluated and checked before the first draw
     for n in sizes:

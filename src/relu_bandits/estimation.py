@@ -15,29 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError
+from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError, _require
 from .relu_model import ReluNetwork, _as_unit_rows, _unit_rows
-
-
-def _is_int(v) -> bool:
-    """The one rule for integer config fields and keys: an integer, and not a bool."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def _require_int(name: str, v) -> None:
-    """Raise a ValueError naming a field or argument that breaks that rule."""
-    if not _is_int(v):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def _require_ints(cfg, *names: str) -> None:
-    """Apply ``_require_int`` to the config's fields, in order."""
-    for name in names:
-        _require_int(name, getattr(cfg, name))
 
 
 @dataclass(frozen=True)
@@ -49,13 +31,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self, "restarts", "max_iters", "seed")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
-        if not 0.0 < self.step_size < math.inf:  # NaN fails this and the check below
-            raise ValueError("step_size must be positive and finite")
-        if not self.tol > 0.0:  # unbounded: a huge tol freezes every restart at once
-            raise ValueError("tol must be positive")
+        _require("restarts", self.restarts, 1, integer=True)
+        _require("max_iters", self.max_iters, 1, integer=True)
+        _require("seed", self.seed, 0, integer=True)  # numpy's generators take no negative seed
+        _require("step_size", self.step_size, 0.0, strict=True)
+        if not self.tol > 0.0:  # unbounded: a huge tol freezes every restart at once; NaN fails
+            raise ValueError(f"tol must be a number in (0, inf], got {self.tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +83,7 @@ def fit_erm(X, y, k: int, cfg: FitConfig, init: ReluNetwork | None = None) -> Re
     path), with the same steps, stop rule and redraws; the generator then makes
     no initial draws.  Another shape of ``init`` raises DimensionMismatchError.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _require("k", k, 1, integer=True)
     X, y = _as_data(X, y)
     if not np.isfinite(y).all():
         raise FitError("labels must be finite")
@@ -176,16 +156,6 @@ def match_neurons(est: ReluNetwork, truth: ReluNetwork) -> MatchResult:
     return MatchResult(perm=perm, signs=signs, errors=errors, max_error=float(errors.max()))
 
 
-def _require_sizes(k, d, sigma: float = 0.0) -> None:
-    """The bound evaluators' rule for the sizes and noise level they read: integers k, d >= 1, sigma >= 0."""
-    _require_int("k", k)
-    _require_int("d", d)
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive integers")
-    if not sigma >= 0.0:  # NaN fails this and each of the evaluators' range checks too
-        raise ValueError("sigma must be nonnegative")
-
-
 def zeta_bound(n: int, k: int, d: int, sigma: float, delta: float) -> float:
     """Loss-deviation radius after n uniform exploration samples.
 
@@ -193,14 +163,14 @@ def zeta_bound(n: int, k: int, d: int, sigma: float, delta: float) -> float:
                 * (d k max(1, log(1 + sqrt(n/(d k)))) + log(4/delta))).
 
     delta is nominally a confidence in (0, 1); values >= 1 are accepted so the
-    formula can be probed at diagnostic inputs (only positivity is required
-    for log(4/delta) to exist).  The CLI enforces (0, 1) for user inputs.
+    formula can be probed at diagnostic inputs (log(4/delta) needs only a
+    positive, finite delta).  The CLI enforces (0, 1) for user inputs.
     """
-    _require_sizes(k, d, sigma)
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if not 1 <= n < math.inf:
-        raise ValueError("n must be finite and at least 1")
+    _require("k", k, 1, integer=True)
+    _require("d", d, 1, integer=True)
+    _require("sigma", sigma, 0.0)
+    _require("delta", delta, 0.0, strict=True)
+    _require("n", n, 1)
     ks = max(float(k), sigma)
     lead = 4096.0 * k**2 * ks**2 / n
     bracket = d * k * max(1.0, math.log(1.0 + math.sqrt(n / (d * k)))) + math.log(4.0 / delta)
@@ -214,9 +184,9 @@ def alpha_bound(zeta: float, k: int, d: int) -> float:
 
     alpha = 727 * pi^(-1/4) * k * d^(1/4) * (2 zeta)^(1/4); linear in k.
     """
-    _require_sizes(k, d)
-    if not 0.0 <= zeta < math.inf:
-        raise ValueError("zeta must be nonnegative and finite")
+    _require("k", k, 1, integer=True)
+    _require("d", d, 1, integer=True)
+    _require("zeta", zeta, 0.0)
     return 727.0 * math.pi ** (-0.25) * k * d**0.25 * (2.0 * zeta) ** 0.25
 
 
@@ -242,13 +212,12 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
     Numerator and denominator are divided through by |S^(d-2)|, so neither
     the value nor the sign depends on an area that underflows at large d.
     """
-    _require_sizes(k, d)
+    _require("k", k, 1, integer=True)
+    _require("d", d, 1, integer=True)
     if d < 3:
         raise UnsupportedDimensionError(f"h is defined for d >= 3 only, got d={d}")
-    if not 0.0 < eps < math.inf:  # NaN fails this and the check below too
-        raise ValueError("eps must be positive and finite")
-    if not 0.0 <= eta < math.inf:
-        raise ValueError("eta must be nonnegative and finite")
+    _require("eps", eps, 0.0, strict=True)
+    _require("eta", eta, 0.0)
     log_high = _log_sphere_area(d - 2)
     num = k * eps**3 * math.exp(_log_sphere_area(d - 3) - log_high) / 2.0
     den = eps**2 * (1.0 - d * eps**2 / 2.0) / 8.0 - 6.0 * k * d * eps**3
@@ -270,13 +239,13 @@ def t0_schedule(nu: float, k: int, d: int, sigma: float, T: float, *, C1: float,
     once t2 dominates.  Requires T >= e so log log T is defined and
     nonnegative.
     """
-    _require_sizes(k, d, sigma)
-    if not (C1 > 0.0 and C2 > 0.0):
-        raise ValueError("C1 and C2 must be positive")
-    if not 0.0 < nu < math.inf:
-        raise ValueError("nu must be positive and finite")
-    if not math.e <= T < math.inf:
-        raise ValueError("T must be finite and at least e for log log T to be defined")
+    _require("k", k, 1, integer=True)
+    _require("d", d, 1, integer=True)
+    _require("sigma", sigma, 0.0)
+    _require("C1", C1, 0.0, strict=True)
+    _require("C2", C2, 0.0, strict=True)
+    _require("nu", nu, 0.0, strict=True)
+    _require("T", T, math.e)  # log log T is defined and nonnegative from e
     ks = max(float(k), sigma)
     bracket = d * k * max(math.log(d * ks), math.log(math.log(T))) + math.log(64.0 * T)
     t1 = C1 * k**10 * d**2 * ks**2 / nu**8 * bracket

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import AgentConfig, make_agent
-from .errors import GenerationError
-from .estimation import _require_int
+from .errors import GenerationError, _require
 from .relu_model import ReluNetwork, _unit_rows, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
@@ -105,11 +104,10 @@ def _check_instance(k: int, d: int, alpha0: float, sigma: float) -> None:
     plane, k >= 3 rows are k lines through the origin, two of which meet at an angle of at most pi/k,
     so they separate by at most 2 sin(pi/(2k)).  At k = 2 that form rounds 1 ulp below sqrt(2).
     """
-    _require_int("k", k)
-    _require_int("d", d)
-    for name, value, low in (("k", k, 1), ("d", d, 2), ("sigma", sigma, 0), ("alpha0", alpha0, 0)):
-        if not low <= value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be at least {low} and finite")
+    _require("k", k, 1, integer=True)
+    _require("d", d, 2, integer=True)
+    _require("sigma", sigma, 0.0)
+    _require("alpha0", alpha0, 0.0)
     top = 2.0 * math.sin(math.pi / (2 * k)) if d == 2 and k >= 3 else math.sqrt(2.0)
     if k >= 2 and alpha0 > top:
         raise ValueError(f"alpha0={alpha0} is infeasible: {k} unit rows in d={d} separate by at most {top}")
@@ -139,12 +137,8 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng: np.random.Gen
 
 def sample_arms(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """(m, d) array of i.i.d. uniform unit rows (normalized Gaussians), for integers m >= 1 and d >= 2."""
-    _require_int("m", m)
-    _require_int("d", d)
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    _require("m", m, 1, integer=True)
+    _require("d", d, 2, integer=True)
     return _unit_rows(rng, m, d)
 
 
@@ -158,9 +152,7 @@ def run_trial(
     trial_seed: int = -1,
 ) -> TrialTrace:
     """Play one agent for T rounds and log the full trace."""
-    _require_int("T", T)
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    _require("T", T, 1, integer=True)
     arms_rng, noise_rng, agent_rng = rng.spawn(3)
     agent = make_agent(agent_cfg, instance.truth.k, instance.truth.d, T)
     chosen = np.empty(T, dtype=np.int64)

@@ -22,17 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericError
+from .errors import DimensionMismatchError, NumericError, _require
 from .relu_model import _row_sum
 
 REFACTOR_EVERY = 512
-LAMBDA_MIN = math.sqrt(np.finfo(float).eps)  # ~1.49e-8
-
-
-def _require_lam(lam: float) -> None:
-    """The one ridge rule: below sqrt(eps) the Sherman-Morrison updates lose the ridge solution."""
-    if not LAMBDA_MIN <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and at least sqrt(machine epsilon) = {LAMBDA_MIN:.3g}")
+LAMBDA_MIN = math.sqrt(np.finfo(float).eps)  # ~1.49e-8; below it the Sherman-Morrison updates lose the ridge solution
 
 
 @dataclass(frozen=True)
@@ -43,23 +37,20 @@ class UcbConfig:
     lam: float = 1.0  # ridge parameter
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:  # NaN fails this and the checks below
-            raise ValueError("sigma must be nonnegative and finite")
-        if not 0.0 < self.S < math.inf:
-            raise ValueError("S must be positive and finite")
-        # the radius takes log(1/delta)
-        if not 0.0 < self.delta < 1.0 or math.isinf(1.0 / self.delta):
-            raise ValueError("delta must lie in (0, 1) and have a finite reciprocal")
-        _require_lam(self.lam)
+        _require("sigma", self.sigma, 0.0)
+        _require("S", self.S, 0.0, strict=True)
+        _require("delta", self.delta, 0.0, 1.0, strict=True)
+        if math.isinf(1.0 / self.delta):  # the radius takes log(1/delta)
+            raise ValueError(f"delta must have a finite reciprocal, got {self.delta!r}")
+        _require("lambda", self.lam, LAMBDA_MIN)
 
 
 class LinearUcbState:
     """Ridge-regression state V = lam*I + sum x x^T, b = sum y x."""
 
     def __init__(self, dim: int, lam: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        _require_lam(lam)
+        _require("dim", dim, 1, integer=True)
+        _require("lambda", lam, LAMBDA_MIN)
         eye = np.eye(dim)
         self.dim = dim
         self.lam = lam

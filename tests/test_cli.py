@@ -368,8 +368,8 @@ class TestSimulate:
             ({"name": "oful", "lambda": 1e-320}, "algorithms[0]: lambda"),  # 1/lambda is inf
             ({"name": "ofu_relu", "lambda": 1e-16}, "algorithms[0]: lambda"),  # below sqrt(eps)
             ({"name": "ofu_relu", "delta": 1e-320}, "algorithms[0]: delta"),  # 1/delta is inf
-            ({"name": "ofu_relu_plus", "T1": 8, "C1": 0}, "algorithms[0]: C1 and C2 must be positive"),
-            ({"name": "ofu_relu_plus", "T1": 8, "C2": -1.0}, "algorithms[0]: C1 and C2 must be positive"),
+            ({"name": "ofu_relu_plus", "T1": 8, "C1": 0}, "algorithms[0]: C1 must be a number in (0, inf), got 0.0"),
+            ({"name": "ofu_relu_plus", "T1": 8, "C2": -1.0}, "algorithms[0]: C2 must be a number in (0, inf), got -1.0"),
             ({"name": "ofu_relu_plus", "T1": 8, "C1": math.nan}, "key 'C1' in algorithms[0] must be a finite"),
             ({"name": "ofu_relu_plus", "T1": 8, "C2": math.nan}, "key 'C2' in algorithms[0] must be a finite"),
         ],
@@ -463,6 +463,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
 
+    def test_negative_fit_seed_exit2_before_output(self, tmp_path, capsys):
+        # unchecked, numpy's generator rejects it only at the first fit (round 21), naming no key
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, algorithms=[{"name": "ofu_relu", "fit": {"seed": -1}}]))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "algorithms[0].fit: seed must be an integer in [0, inf), got -1" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_jobs_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", TINY)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
@@ -506,13 +514,19 @@ class TestEstimate:
             cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "delta": delta})
             assert main(["estimate", "--config", cfg]) == 2
             captured = capsys.readouterr()
-            assert "'delta'" in captured.err and "(0, 1)" in captured.err and captured.out == ""
+            assert "delta must be a number in (0, 1)" in captured.err and captured.out == ""
 
     def test_negative_seed_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2})
         assert main(["estimate", "--config", cfg, "--seed", "-1"]) == 2
         captured = capsys.readouterr()
-        assert "seed must be nonnegative" in captured.err and captured.out == ""
+        assert "seed must be an integer in [0, inf), got -1" in captured.err and captured.out == ""
+
+    def test_negative_fit_seed_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "fit": {"seed": -1}})
+        assert main(["estimate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config.fit: seed must be an integer in [0, inf), got -1" in captured.err
 
     def test_boolean_sample_size_exit2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "sample_sizes": [True]})

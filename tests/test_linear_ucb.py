@@ -60,12 +60,18 @@ class TestInitState:
         with pytest.raises(ValueError):
             LinearUcbState(2, lam=-1.0)
 
+    @pytest.mark.parametrize("dim", [2.5, True, math.inf])
+    def test_integer_dim_named(self, dim):
+        # unchecked, True builds a 1-dim state and 2.5 fails inside np.eye
+        with pytest.raises(ValueError, match=r"^dim must be an integer in \[1, inf\)"):
+            LinearUcbState(dim)
+
     @pytest.mark.parametrize("lam", [float("nan"), 1e-300, 0.0, -1.0, math.inf])
     def test_lambda_floor_is_the_configs(self, lam):
         # NaN would make logdet nan, 1e-300 a gram_inv of 1e300 * I and inf a gram of inf * I
         with pytest.raises(ValueError) as config_err:
             UcbConfig(sigma=0.1, S=1.0, delta=0.5, lam=lam)
-        with pytest.raises(ValueError, match=r"sqrt\(machine epsilon\)") as state_err:
+        with pytest.raises(ValueError, match=rf"^lambda must be a number in \[{LAMBDA_MIN:g}, inf\)") as state_err:
             LinearUcbState(2, lam=lam)
         assert str(state_err.value) == str(config_err.value)
         assert LinearUcbState(2, lam=LAMBDA_MIN).lam == LAMBDA_MIN
