@@ -12,16 +12,6 @@ imported from their modules.
 """
 
 from .agents import OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig
-from .errors import (
-    BoundVacuousError,
-    ConfigError,
-    DimensionMismatchError,
-    FitError,
-    GenerationError,
-    NumericError,
-    ProtocolError,
-    UnsupportedDimensionError,
-)
 from .estimation import FitConfig, alpha_bound, fit_erm, h_bound, match_neurons, t0_schedule, zeta_bound
 from .harness import AggregateResult, Instance, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
 from .linear_ucb import UcbConfig
@@ -30,23 +20,15 @@ from .reporting import emit_svg, export_csv, write_summary
 
 __all__ = [
     "AggregateResult",
-    "BoundVacuousError",
-    "ConfigError",
-    "DimensionMismatchError",
     "FitConfig",
-    "FitError",
-    "GenerationError",
     "Instance",
-    "NumericError",
     "OfulConfig",
     "OfuReluConfig",
     "OfuReluPlusConfig",
-    "ProtocolError",
     "RandomConfig",
     "ReluNetwork",
     "TrialTrace",
     "UcbConfig",
-    "UnsupportedDimensionError",
     "aggregate",
     "alpha_bound",
     "emit_svg",

@@ -2,7 +2,7 @@
 
 Every agent exposes ``select_arm(arms, rng) -> index`` on an (m, d) array of
 unit rows and ``observe(y)`` for the chosen row's reward, and the two must
-strictly alternate (ProtocolError otherwise).  One agent instance serves one
+strictly alternate (RuntimeError otherwise).  One agent instance serves one
 trial; distinct trials never share state.
 
 Policies:
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, _require
+from .errors import _require
 from .estimation import FitConfig, fit_erm, t0_schedule
 from .linear_ucb import LinearUcbState, UcbConfig, ridge_update, ucb_select
 from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
@@ -127,7 +127,7 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
     them instead.  Either way each size is clamped to its batch length.
     """
     if T < cfg.T1:
-        raise ConfigError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
+        raise ValueError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
     # round before ceil so exact powers of a do not pick up a spurious batch
     M = max(1, math.ceil(round(math.log(T / cfg.T1 + 1.0) / math.log(cfg.a), 12)))
     boundaries = [0]
@@ -139,7 +139,7 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
     nus = tuple(cfg.nu0 / cfg.b**i for i in range(1, M + 1))
     if cfg.practical_override is not None:
         if len(cfg.practical_override) < M:
-            raise ConfigError(
+            raise ValueError(
                 f"practical_override has {len(cfg.practical_override)} entries but the grid has {M} batches"
             )
         sizes = cfg.practical_override[:M]
@@ -161,7 +161,7 @@ class _SequentialAgent:
 
     def select_arm(self, arms: np.ndarray, rng: np.random.Generator) -> int:
         if self._pending is not None:
-            raise ProtocolError("observe() must be called before the next select_arm()")
+            raise RuntimeError("observe() must be called before the next select_arm()")
         idx = int(self._select(arms, rng, self._t + 1))
         if not 0 <= idx < len(arms):
             raise ValueError(f"chosen index {idx} outside the offered set of {len(arms)}")
@@ -170,7 +170,7 @@ class _SequentialAgent:
 
     def observe(self, y: float) -> None:
         if self._pending is None:
-            raise ProtocolError("select_arm() must be called before observe()")
+            raise RuntimeError("select_arm() must be called before observe()")
         action, self._pending = self._pending, None
         self._t += 1
         self._observe(self._t, action, float(y))
@@ -348,4 +348,4 @@ def make_agent(cfg: AgentConfig, k: int, d: int, T: int) -> _SequentialAgent:
         return OfulAgent(d, cfg)
     if isinstance(cfg, RandomConfig):
         return RandomAgent(cfg)
-    raise ConfigError(f"unknown agent config type {type(cfg).__name__}")
+    raise ValueError(f"unknown agent config type {type(cfg).__name__}")

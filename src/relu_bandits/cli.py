@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
-from .errors import ConfigError, _is_int, _require
+from .errors import _is_int, _require
 from .estimation import FitConfig, alpha_bound, fit_erm, match_neurons, zeta_bound
 from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
@@ -82,17 +82,17 @@ def _value(v, kind, key: str, where: str):
     if kind is float and _is_int(v):
         v = float(v) if _fits_float(v) else math.inf  # float() would overflow; rejected below
     if kind is int and not _is_int(v):
-        raise ConfigError(f"key '{key}' in {where} must be an integer")
+        raise ValueError(f"key '{key}' in {where} must be an integer")
     if kind is int and not _fits_float(v):
-        raise ConfigError(f"key '{key}' in {where} is out of floating-point range")
+        raise ValueError(f"key '{key}' in {where} is out of floating-point range")
     if kind is float and not (isinstance(v, float) and math.isfinite(v)):
-        raise ConfigError(f"key '{key}' in {where} must be a finite number")
+        raise ValueError(f"key '{key}' in {where} must be a finite number")
     if kind is str and not isinstance(v, str):
-        raise ConfigError(f"key '{key}' in {where} must be a string")
+        raise ValueError(f"key '{key}' in {where} must be a string")
     if kind is list and not isinstance(v, list):
-        raise ConfigError(f"key '{key}' in {where} must be a list")
+        raise ValueError(f"key '{key}' in {where} must be a list")
     if kind == list[int] and not (isinstance(v, list) and all(map(_is_int, v))):
-        raise ConfigError(f"key '{key}' in {where} must be a list of integers")
+        raise ValueError(f"key '{key}' in {where} must be a list of integers")
     return v
 
 
@@ -103,17 +103,17 @@ def _parse(block, table: dict, where: str, ctx: tuple = ()) -> dict:
     table left out resolves to its own defaults.
     """
     if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
+        raise ValueError(f"{where} must be an object")
     unknown = sorted(set(block) - set(table))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     out = {}
     for key, (kind, default) in table.items():
         v = block.get(key)
         if key in block and not (v is None and default is None):
             v = _value(v, kind, key, where)
         elif default is REQUIRED:
-            raise ConfigError(f"missing required key '{key}' in {where}")
+            raise ValueError(f"missing required key '{key}' in {where}")
         else:
             v = default(*ctx) if callable(default) else default
         if isinstance(kind, dict):
@@ -124,12 +124,12 @@ def _parse(block, table: dict, where: str, ctx: tuple = ()) -> dict:
 
 def _parse_algorithm(block, where: str, ctx: tuple) -> dict:
     if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
+        raise ValueError(f"{where} must be an object")
     if "name" not in block:
-        raise ConfigError(f"missing required key 'name' in {where}")
+        raise ValueError(f"missing required key 'name' in {where}")
     name = block["name"]
     if not (isinstance(name, str) and name in ALGORITHMS):
-        raise ConfigError(f"unknown algorithm name {name!r} in {where}")
+        raise ValueError(f"unknown algorithm name {name!r} in {where}")
     return _parse(block, {"name": (str, REQUIRED), "label": (str, name), **ALGORITHMS[name]}, where, ctx)
 
 
@@ -138,7 +138,7 @@ def _fit_config(p: dict, where: str) -> FitConfig:
     try:
         return FitConfig(**p)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int) -> AgentConfig:
@@ -173,7 +173,7 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
     _require("trials", p["trials"], 2, integer=True)  # confidence intervals need two runs
     _require("seed", p["seed"], 0, integer=True)
     if not p["algorithms"]:
-        raise ConfigError("'algorithms' must be a nonempty list")
+        raise ValueError("'algorithms' must be a nonempty list")
     algos, echoes = [], []
     for i, blk in enumerate(p["algorithms"]):
         where = f"algorithms[{i}]"
@@ -182,12 +182,12 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
         try:
             algos.append(_build_algorithm(echoes[-1], fit, k, d, T))
         except ValueError as exc:  # invariant and grid errors carry no location
-            raise ConfigError(f"{where}: {exc}") from exc
-        except ArithmeticError as exc:  # a finite value whose grid arithmetic over- or underflows
-            raise ConfigError(f"{where}: a value is out of floating-point range for the batch grid ({exc})") from exc
+            raise ValueError(f"{where}: {exc}") from exc
+        except ArithmeticError as exc:  # the grid's own arithmetic (b**i) over- or underflows
+            raise ValueError(f"{where}: a value is out of floating-point range for the batch grid ({exc})") from exc
     labels = [a.label for a in algos]
     if len(set(labels)) != len(labels):
-        raise ConfigError("algorithm labels must be unique (set 'label' to disambiguate)")
+        raise ValueError("algorithm labels must be unique (set 'label' to disambiguate)")
     p["algorithms"] = echoes
     # the top-level keys are ExperimentConfig's fields
     return ExperimentConfig(**{**p, "algorithms": tuple(algos)}, echo=p)
@@ -198,9 +198,9 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -234,34 +234,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bound(name: str, given: str, bound) -> float:
-    """Evaluate one bound, raising a ConfigError naming the inputs where it leaves the float range."""
-    try:  # a finite input can still over- or underflow the formula
-        value = bound()
-    except ArithmeticError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} is out of floating-point range at {given}")
-    return value
-
-
 def cmd_estimate(args) -> int:
     cfg = _parse(_load_json(args.config), ESTIMATE, "config")
     k, d, sigma, alpha0, delta, sizes = (cfg[key] for key in ("k", "d", "sigma", "alpha0", "delta", "sample_sizes"))
     seed = args.seed if args.seed is not None else cfg["seed"]
     if not sizes:
-        raise ConfigError("'sample_sizes' must be a nonempty list")
+        raise ValueError("'sample_sizes' must be a nonempty list")
     for i, n in enumerate(sizes):
         _require(f"sample_sizes[{i}]", n, 1, integer=True)
     _check_instance(k, d, alpha0, sigma)
     _require("seed", seed, 0, integer=True)
     _require("delta", delta, 0.0, 1.0, strict=True)
     fit = _fit_config(cfg["fit"], "config.fit")
-    bounds = []  # every bound is evaluated and checked before the first draw
+    bounds = []  # every bound is evaluated, and so checked, before the first draw
     for n in sizes:
-        given = f"k={k}, d={d}, sigma={sigma:g}, delta={delta:g}, n={n}"
-        zeta = _bound("zeta", given, lambda: zeta_bound(n, k, d, sigma, delta))
-        bounds.append((zeta, _bound("alpha", given, lambda: alpha_bound(zeta, k, d))))
+        zeta = zeta_bound(n, k, d, sigma, delta)
+        bounds.append((zeta, alpha_bound(zeta, k, d)))
     inst = gen_instance(k, d, alpha0, sigma, _stream(seed, 0, 0))
     data_rng = _stream(seed, 0, 1)
     for n, (zeta, alpha) in zip(sizes, bounds):
@@ -305,7 +293,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

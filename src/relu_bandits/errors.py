@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the one range rule for checked inputs."""
+"""The one range rule for checked inputs, and its integer predicate.
+
+The package defines no exception types of its own.  Every failure raises a
+builtin: ValueError for bad input (a value, a shape, a dimension or a config
+structure), ArithmeticError for the ridge's numerical breakdown, and
+RuntimeError for a fit or a sampler that gave up and for agent calls made
+out of order.
+"""
 
 import math
 from numbers import Integral
@@ -19,34 +26,3 @@ def _require(name: str, value, low, high=math.inf, *, integer: bool = False, str
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{name} must be {kind} in {'(' if strict else '['}{low:g}, {high:g}), got {value!r}")
 
-
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible shapes or ambient dimensions."""
-
-
-class UnsupportedDimensionError(ValueError):
-    """The requested dimension is outside an operation's documented range."""
-
-
-class BoundVacuousError(ArithmeticError):
-    """A closed-form bound is vacuous at these inputs (nonpositive denominator)."""
-
-
-class NumericError(ArithmeticError):
-    """Numerical breakdown (e.g. a determinant that should be positive is not)."""
-
-
-class FitError(RuntimeError):
-    """Every optimizer restart was discarded; no estimate is available."""
-
-
-class ProtocolError(RuntimeError):
-    """Agent select/observe calls arrived out of order."""
-
-
-class GenerationError(RuntimeError):
-    """Instance rejection sampling exhausted its budget."""
-
-
-class ConfigError(ValueError):
-    """A configuration file or block failed validation."""

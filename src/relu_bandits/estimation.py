@@ -9,16 +9,20 @@ radius ``alpha_bound``, the matching radius ``h_bound``, and the exploration
 length ``t0_schedule``.  They are diagnostics, except that OFU-ReLU+ takes
 its exploration windows from ``t0_schedule`` when no ``practical_override``
 is set, though the schedule is astronomically conservative at desk scale.
+Each returns a finite float or raises a ValueError naming itself and its
+arguments (``_finite``); an out-of-range argument raises the range rule's.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundVacuousError, DimensionMismatchError, FitError, NumericError, UnsupportedDimensionError, _require
+from .errors import _require
 from .relu_model import ReluNetwork, _as_unit_rows, _unit_rows
 
 
@@ -59,7 +63,7 @@ def _as_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = _as_unit_rows(X, "X")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.shape[0],):
-        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     return X, y
 
 
@@ -77,16 +81,16 @@ def fit_erm(X, y, k: int, cfg: FitConfig, init: ReluNetwork | None = None) -> Re
     vanishes at a minimum on the sphere.  Otherwise each restart does the
     arithmetic of a lone descent, so the result equals running them one after
     another.  The earliest restart with the smallest finite final loss
-    (``np.mean``) wins.  Raises FitError if a label is not finite, which
+    (``np.mean``) wins.  Raises RuntimeError if a label is not finite, which
     makes every loss non-finite, or if every final loss is non-finite.  Given
     ``init``, a (k, d) estimate, the fit is one restart from its rows (the warm
     path), with the same steps, stop rule and redraws; the generator then makes
-    no initial draws.  Another shape of ``init`` raises DimensionMismatchError.
+    no initial draws.  Another shape of ``init`` raises ValueError.
     """
     _require("k", k, 1, integer=True)
     X, y = _as_data(X, y)
     if not np.isfinite(y).all():
-        raise FitError("labels must be finite")
+        raise RuntimeError("labels must be finite")
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
     if init is None:
@@ -94,7 +98,7 @@ def fit_erm(X, y, k: int, cfg: FitConfig, init: ReluNetwork | None = None) -> Re
     elif init.weights.shape == (k, d):
         W = init.weights[None].copy()  # one restart, from the given rows
     else:
-        raise DimensionMismatchError(f"init has shape {init.weights.shape}, expected ({k}, {d})")
+        raise ValueError(f"init has shape {init.weights.shape}, expected ({k}, {d})")
     live, w = np.arange(len(W)), W.copy()  # the restarts still descending, and their rows
     for _ in range(cfg.max_iters):
         p = w @ X.T  # (L, k, n); the stacked matmul makes each restart's own BLAS call
@@ -125,7 +129,7 @@ def fit_erm(X, y, k: int, cfg: FitConfig, init: ReluNetwork | None = None) -> Re
     loss = np.mean(resid * resid, axis=1)
     loss[~np.isfinite(loss)] = np.inf
     if np.isinf(loss).all():
-        raise FitError("all restarts produced non-finite losses")
+        raise RuntimeError("all restarts produced non-finite losses")
     return ReluNetwork(W[int(np.argmin(loss))])
 
 
@@ -139,7 +143,7 @@ def match_neurons(est: ReluNetwork, truth: ReluNetwork) -> MatchResult:
     """
     from scipy.optimize import linear_sum_assignment  # deferred: only estimate matches, and scipy is slow to import
     if est.weights.shape != truth.weights.shape:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"estimate {est.weights.shape} and truth {truth.weights.shape} disagree"
         )
     diff = truth.weights[:, None, :] - est.weights[None, :, :]  # (i, j, d)
@@ -156,6 +160,31 @@ def match_neurons(est: ReluNetwork, truth: ReluNetwork) -> MatchResult:
     return MatchResult(perm=perm, signs=signs, errors=errors, max_error=float(errors.max()))
 
 
+def _finite(bound):
+    """The evaluators' one failure rule: return a finite float or raise a ValueError naming the call.
+
+    An OverflowError or ZeroDivisionError inside the formula, or a result that
+    is not finite, is "out of floating-point range"; a formula raises a bare
+    ArithmeticError, whose message is the reason, where the bound itself fails
+    at these inputs.  ValueError, the range rule's, passes through unchanged.
+    """
+    @functools.wraps(bound)
+    def evaluate(*args, **kwargs):
+        reason = "out of floating-point range"
+        try:
+            value = bound(*args, **kwargs)
+            if math.isfinite(value):
+                return value
+        except (OverflowError, ZeroDivisionError):
+            pass
+        except ArithmeticError as exc:
+            reason = str(exc)
+        given = ", ".join(f"{key}={v}" for key, v in inspect.signature(bound).bind(*args, **kwargs).arguments.items())
+        raise ValueError(f"{bound.__name__}({given}) is {reason}")
+    return evaluate
+
+
+@_finite
 def zeta_bound(n: int, k: int, d: int, sigma: float, delta: float) -> float:
     """Loss-deviation radius after n uniform exploration samples.
 
@@ -175,10 +204,11 @@ def zeta_bound(n: int, k: int, d: int, sigma: float, delta: float) -> float:
     lead = 4096.0 * k**2 * ks**2 / n
     bracket = d * k * max(1.0, math.log(1.0 + math.sqrt(n / (d * k)))) + math.log(4.0 / delta)
     if bracket < 0.0:
-        raise NumericError("radicand is negative at these inputs")
+        raise ArithmeticError("undefined: the radicand is negative")
     return math.sqrt(lead * bracket)
 
 
+@_finite
 def alpha_bound(zeta: float, k: int, d: int) -> float:
     """Parameter-error radius implied by a loss deviation of zeta.
 
@@ -200,6 +230,7 @@ def _log_sphere_area(n_minus_1: int) -> float:
     return math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0)
 
 
+@_finite
 def h_bound(eta: float, eps: float, k: int, d: int) -> float:
     """Matching radius below which a loss within eta forces a close bijection.
 
@@ -208,14 +239,13 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
 
     Only d >= 3 is supported: |S^(d-3)| has no Gamma-convention meaning at
     d = 2.  A nonpositive denominator means the bound is vacuous at these
-    inputs (eps too large or eta too close to the leading term) and raises.
+    inputs (eps too large or eta too close to the leading term), which
+    raises a ValueError saying so.
     Numerator and denominator are divided through by |S^(d-2)|, so neither
     the value nor the sign depends on an area that underflows at large d.
     """
     _require("k", k, 1, integer=True)
-    _require("d", d, 1, integer=True)
-    if d < 3:
-        raise UnsupportedDimensionError(f"h is defined for d >= 3 only, got d={d}")
+    _require("d", d, 3, integer=True)
     _require("eps", eps, 0.0, strict=True)
     _require("eta", eta, 0.0)
     log_high = _log_sphere_area(d - 2)
@@ -225,10 +255,11 @@ def h_bound(eta: float, eps: float, k: int, d: int) -> float:
         share = math.log(eta) - log_high  # log(eta / |S^(d-2)|), which overflows where the area underflows
         den = den - math.exp(share) if share < math.log(den) else 0.0
     if den <= 0.0:
-        raise BoundVacuousError(f"the denominator is nonpositive at eta={eta:g}, eps={eps:g}; the bound is vacuous here")
+        raise ArithmeticError("vacuous: the denominator is nonpositive")
     return num / den
 
 
+@_finite
 def t0_schedule(nu: float, k: int, d: int, sigma: float, T: float, *, C1: float, C2: float) -> float:
     """Theoretical exploration length sufficient for a matched error nu/2 at horizon T.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import AgentConfig, make_agent
-from .errors import GenerationError, _require
+from .errors import _require
 from .relu_model import ReluNetwork, _unit_rows, eval_f_batch
 
 MAX_GEN_ATTEMPTS = 10_000
@@ -130,7 +130,7 @@ def gen_instance(k: int, d: int, alpha0: float, sigma: float, rng: np.random.Gen
         iu = np.triu_indices(k, 1)
         if sep[iu].min() >= alpha0:
             return Instance(truth=ReluNetwork(w), sigma=sigma)
-    raise GenerationError(
+    raise RuntimeError(
         f"no instance with separation {alpha0} found for k={k}, d={d} in {MAX_GEN_ATTEMPTS} attempts"
     )
 
@@ -219,6 +219,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[TrialTrac
     Each trial's instance is drawn once, here, and handed to every cell of
     that trial.  The pool has at most one worker per cell.
     """
+    _require("trials", cfg.trials, 2, integer=True)  # aggregate needs two traces per algorithm
+    _require("seed", cfg.seed, 0, integer=True)  # SeedSequence takes no negative seed
     insts = [gen_instance(cfg.k, cfg.d, cfg.alpha0, cfg.sigma, _stream(cfg.seed, t, 0)) for t in range(cfg.trials)]
     cells = [(cfg, a, t, insts[t]) for a in range(len(cfg.algorithms)) for t in range(cfg.trials)]
     if jobs <= 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericError, _require
+from .errors import _require
 from .relu_model import _row_sum
 
 REFACTOR_EVERY = 512
@@ -65,7 +65,7 @@ def _as_features(x, dim: int) -> np.ndarray:
     """One feature row, or an (n, dim) block of rows, as a finite float array."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != dim:
-        raise DimensionMismatchError(f"feature has shape {a.shape}, expected ({dim},) or (n, {dim})")
+        raise ValueError(f"feature has shape {a.shape}, expected ({dim},) or (n, {dim})")
     if not np.isfinite(a).all():
         raise ValueError("feature contains non-finite entries")
     return a
@@ -76,14 +76,14 @@ def ridge_update(state: LinearUcbState, x, y) -> None:
 
     A row updates the inverse by Sherman-Morrison.  A block is an (n, dim)
     array of rows with n rewards: it adds Phi^T Phi and Phi^T y at once and
-    re-factorizes; an empty block changes nothing.  A NumericError from a
+    re-factorizes; an empty block changes nothing.  An ArithmeticError from a
     re-factorization leaves the state part-updated; it is not usable afterwards.
     """
     a = _as_features(x, state.dim)
     if a.ndim == 2:
         rewards = np.asarray(y, dtype=np.float64)
         if rewards.shape != (len(a),):
-            raise DimensionMismatchError(f"{len(a)} feature rows have rewards of shape {rewards.shape}")
+            raise ValueError(f"{len(a)} feature rows have rewards of shape {rewards.shape}")
         if not len(a):
             return
         state.gram += a.T @ a
@@ -97,7 +97,7 @@ def ridge_update(state: LinearUcbState, x, y) -> None:
         gram_inv = np.linalg.inv(state.gram)
         sign, state.logdet = np.linalg.slogdet(state.gram)
         if sign <= 0:
-            raise NumericError("Gram matrix lost positive definiteness")
+            raise ArithmeticError("Gram matrix lost positive definiteness")
     else:
         inv_a = state.gram_inv @ a
         denom = 1.0 + float(a @ inv_a)
@@ -112,7 +112,7 @@ def conf_radius(state: LinearUcbState, cfg: UcbConfig) -> float:
         raise ValueError(f"config lambda {cfg.lam} does not match state lambda {state.lam}")
     radicand = state.logdet - state.dim * math.log(state.lam) + 2.0 * math.log(1.0 / cfg.delta)
     if not math.isfinite(radicand) or radicand < 0.0:
-        raise NumericError("determinant ratio collapsed below 1; state is numerically broken")
+        raise ArithmeticError("determinant ratio collapsed below 1; state is numerically broken")
     return cfg.sigma * math.sqrt(radicand) + math.sqrt(state.lam) * cfg.S
 
 
@@ -125,7 +125,7 @@ def ucb_select(state: LinearUcbState, cfg: UcbConfig, candidates) -> int:
     """
     feats = np.asarray(candidates, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != state.dim:
-        raise DimensionMismatchError(f"candidates have shape {feats.shape}, expected (m, {state.dim})")
+        raise ValueError(f"candidates have shape {feats.shape}, expected (m, {state.dim})")
     if feats.shape[0] == 0:
         raise ValueError("candidates must be nonempty")
     beta = conf_radius(state, cfg)

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedDimensionError
-
 NORM_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
@@ -47,7 +45,7 @@ def _as_unit_rows(values, name: str) -> np.ndarray:
     """Caller data as a nonempty, finite 2-D float array of unit rows."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatchError(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
+        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     worst = float(np.abs(np.linalg.norm(a, axis=1) - 1.0).max())
@@ -107,7 +105,7 @@ def _unit_rows(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
 def eval_f_batch(net: ReluNetwork, actions: np.ndarray) -> np.ndarray:
     """f(x) = sum_i g(w_i . x) for each row x of an (m, d) action matrix; in [0, k] for unit rows."""
     if actions.ndim != 2 or actions.shape[1] != net.d:
-        raise DimensionMismatchError(f"actions have shape {actions.shape}, expected (m, {net.d})")
+        raise ValueError(f"actions have shape {actions.shape}, expected (m, {net.d})")
     p = actions @ net.weights.T
     np.maximum(p, 0.0, out=p)
     return _row_sum(p)
@@ -127,7 +125,7 @@ def sign_robust_features_batch(actions: np.ndarray, proj: np.ndarray) -> np.ndar
     product, as in the broadcast form.
     """
     if actions.ndim != 2 or proj.ndim != 2 or proj.shape[0] != actions.shape[0]:
-        raise DimensionMismatchError(f"actions {actions.shape} and projection {proj.shape} do not pair up")
+        raise ValueError(f"actions {actions.shape} and projection {proj.shape} do not pair up")
     (m, d), k = actions.shape, proj.shape[1]
     coef = np.empty((2 * k, m))
     np.greater_equal(proj.T, 0.0, out=coef[:k])
@@ -140,8 +138,8 @@ def sign_robust_features_batch(actions: np.ndarray, proj: np.ndarray) -> np.ndar
 
 def margin_mask(proj: np.ndarray, nu: float) -> np.ndarray:
     """Boolean mask of the rows of proj = actions @ est.weights.T with |we_i . x| >= nu for every i."""
-    if proj.ndim != 2:
-        raise DimensionMismatchError(f"projection must be a 2-D (m, k) array, got shape {proj.shape}")
+    if proj.ndim != 2 or proj.shape[1] < 1:
+        raise ValueError(f"projection must be a 2-D (m, k) array with k >= 1, got shape {proj.shape}")
     p = np.abs(proj)
     mask = p[:, 0] >= nu
     for i in range(1, p.shape[1]):
@@ -164,7 +162,7 @@ def exact_argmax_2d(net: ReluNetwork) -> tuple[np.ndarray, float]:
     angle in [0, 2*pi).
     """
     if net.d != 2:
-        raise UnsupportedDimensionError(f"exact argmax is implemented for d=2 only, got d={net.d}")
+        raise ValueError(f"exact argmax is implemented for d=2 only, got d={net.d}")
     w = net.weights
     neuron_angles = np.arctan2(w[:, 1], w[:, 0])
     bounds = np.unique(np.concatenate([neuron_angles + math.pi / 2, neuron_angles - math.pi / 2]) % _TWO_PI)

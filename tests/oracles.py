@@ -380,10 +380,8 @@ def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_i
     step_size * tol.  Given ``init``, (k, d) unit rows, the loop runs one
     restart that starts there instead, and draws rows only to replace a
     collapsed one.  Returns the winning (k, d) weights, or raises
-    ``FitError`` when every restart's loss went non-finite.
+    a RuntimeError when every restart's loss went non-finite.
     """
-    from relu_bandits import FitError
-
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     best_loss = math.inf
@@ -418,5 +416,5 @@ def fit_erm_reference(X: np.ndarray, y: np.ndarray, k: int, restarts: int, max_i
             best_loss = final_loss
             best_w = w
     if best_w is None:
-        raise FitError("all restarts produced non-finite losses")
+        raise RuntimeError("all restarts produced non-finite losses")
     return best_w

@@ -5,13 +5,11 @@ import pytest
 
 from relu_bandits import agents
 from relu_bandits import (
-    ConfigError,
     FitConfig,
     Instance,
     OfuReluConfig,
     OfuReluPlusConfig,
     OfulConfig,
-    ProtocolError,
     RandomConfig,
     ReluNetwork,
     UcbConfig,
@@ -95,11 +93,11 @@ class TestProtocol:
         arms = sample_arms(3, 2, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         agent.select_arm(arms, rng)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RuntimeError, match=r"^observe\(\) must be called before the next select_arm\(\)$"):
             agent.select_arm(arms, rng)
 
     def test_observe_without_select(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RuntimeError, match=r"^select_arm\(\) must be called before observe\(\)$"):
             RandomAgent().observe(0.0)
 
     def test_alternation_ok(self):
@@ -119,7 +117,7 @@ class TestProtocol:
         arms = sample_arms(3, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="outside the offered set"):
             agent.select_arm(arms, np.random.default_rng(1))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RuntimeError, match=r"^select_arm\(\) must be called"):
             agent.observe(0.0)  # the rejected pick left nothing pending
 
 
@@ -374,11 +372,11 @@ class TestBuildBatchGrid:
         assert build_batch_grid(plus_config((20, 30, 50)), 1, 2, 70).explore_sizes == (10, 20, 40)
 
     def test_override_too_short(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^practical_override has 2 entries but the grid has 3 batches$"):
             build_batch_grid(plus_config((20, 10)), 1, 2, 70)
 
     def test_T_below_T1(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^horizon T=5 is shorter than the first batch T1=10$"):
             build_batch_grid(plus_config((5,)), 1, 2, 5)
 
     def test_schedule_plateau_gives_zero_increments(self):
@@ -531,5 +529,5 @@ class TestMakeAgent:
         assert agent.label == "noise-floor"
 
     def test_unknown_config(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^unknown agent config type object$"):
             make_agent(object(), 1, 2, 10)

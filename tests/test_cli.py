@@ -23,6 +23,7 @@ from oracles import (
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GRID_RANGE = "algorithms[0]: a value is out of floating-point range"
+T0_RANGE = "algorithms[0]: t0_schedule(nu={nu}, k=1, d=2, sigma=0.1, T=40, C1={C1}, C2=1.0) is out of floating-point range"
 HUGE_INT = 10**400  # a JSON integer that float() cannot convert
 
 TINY = {
@@ -362,9 +363,9 @@ class TestSimulate:
             ({"name": "ofu_relu_plus", "fit": {"restarts": 0}}, "algorithms[0].fit: restarts"),
             ({"name": "ofu_relu_plus", "T1": 50}, "T1"),
             ({"name": "ofu_relu_plus", "T1": 8, "practical_override": [4]}, "practical_override"),
-            ({"name": "ofu_relu_plus", "T1": 8, "nu0": 1e-300}, GRID_RANGE),  # nu0**8 underflows to 0
+            ({"name": "ofu_relu_plus", "T1": 8, "nu0": 1e-300}, T0_RANGE.format(nu="1e-300", C1="1.0")),  # nu**8 underflows to 0
             ({"name": "ofu_relu_plus", "T1": 8, "b": 1e300}, GRID_RANGE),  # b**2 overflows
-            ({"name": "ofu_relu_plus", "T1": 8, "C1": 1e308}, GRID_RANGE),  # t0(nu) is inf
+            ({"name": "ofu_relu_plus", "T1": 8, "C1": 1e308}, T0_RANGE.format(nu="1.0", C1="1e+308")),  # t0(nu) is inf
             ({"name": "oful", "lambda": 1e-320}, "algorithms[0]: lambda"),  # 1/lambda is inf
             ({"name": "ofu_relu", "lambda": 1e-16}, "algorithms[0]: lambda"),  # below sqrt(eps)
             ({"name": "ofu_relu", "delta": 1e-320}, "algorithms[0]: delta"),  # 1/delta is inf
@@ -553,7 +554,10 @@ class TestEstimate:
         cfg = write_config(tmp_path / "est.json", {"k": 2, "d": 3, "sample_sizes": [50], key: value})
         assert main(["estimate", "--config", cfg]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "zeta is out of floating-point range" in captured.err and given in captured.err
+        assert captured.out == "" and captured.err.startswith("error: zeta_bound(n=")
+        assert captured.err.endswith(") is out of floating-point range\n")
+        shown = value[0] if key == "sample_sizes" else value
+        assert f"{given.lstrip()}{shown}" in captured.err  # names the input that left the range, with its value
 
     def test_fit_range_error_names_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "est.json", {"k": 1, "d": 2, "fit": {"restarts": 0}})

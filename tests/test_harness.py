@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from relu_bandits import (
-    GenerationError,
     Instance,
-    ProtocolError,
     RandomConfig,
     ReluNetwork,
     TrialTrace,
@@ -58,7 +56,7 @@ class TestGenInstance:
     def test_impossible_separation(self):
         # 0.999 is below the planar bound 2 sin(pi/6) = 1, but almost no
         # uniform draw of three rows reaches it, so every attempt is rejected
-        with pytest.raises(GenerationError):
+        with pytest.raises(RuntimeError, match=r"^no instance with separation 0\.999 found for k=3, d=2 in 10000 attempts$"):
             gen_instance(3, 2, 0.999, 0.1, np.random.default_rng(2))
 
     @pytest.mark.parametrize(
@@ -270,7 +268,7 @@ class TestRunTrial:
         broken = RandomAgent()
         broken.select_arm(arms, np.random.default_rng(19))  # leaves a pick pending
         patch_trial(arms=arms, agent=broken)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RuntimeError, match=r"^observe\(\) must be called before the next select_arm\(\)$"):
             run_trial(inst, None, 5, 2, np.random.default_rng(20))
 
 

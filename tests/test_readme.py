@@ -21,9 +21,6 @@ ROOT_NAMES = [
     "alpha_bound", "h_bound", "t0_schedule", "zeta_bound",
     # the writers
     "emit_svg", "export_csv", "write_summary",
-    # the errors
-    "BoundVacuousError", "ConfigError", "DimensionMismatchError", "FitError", "GenerationError", "NumericError",
-    "ProtocolError", "UnsupportedDimensionError",
 ]
 BUILDING_BLOCKS = {
     "agents": ["OfulAgent", "OfuReluAgent", "RandomAgent", "build_batch_grid", "make_agent"],
@@ -49,7 +46,7 @@ def test_python_blocks_run_in_order(capsys):
 
 def test_package_root_exports_the_library():
     assert sorted(relu_bandits.__all__) == sorted(ROOT_NAMES)
-    assert len(ROOT_NAMES) == 32
+    assert len(ROOT_NAMES) == 24
     for name in ROOT_NAMES:
         getattr(relu_bandits, name)
     for module, names in BUILDING_BLOCKS.items():  # importable from their modules only
