@@ -12,10 +12,10 @@
 # schedule, which no shipped config runs: one block whose small C1 and C2 give
 # non-empty windows, and the default block, which never fits.
 # estimate runs on two small configs at two seeds.  Last, simulate and
-# estimate run on sixteen configs that each break one checked input, six of
-# them by a finite value whose bound or batch-grid arithmetic leaves the float
-# range; their stdout (empty) and exit code (2) must match, while stderr, the
-# message, may change.
+# estimate run on seventeen configs that each break one checked input, seven
+# of them by a finite value whose bound or batch-grid arithmetic leaves the
+# float range; their stdout (empty) and exit code (2) must match, while
+# stderr, the message, may change.
 # Prints one ::warning:: per output that differs or run that fails, then a
 # count for each kind; always exits 0.
 set -u
@@ -111,10 +111,12 @@ bad = {
     "sim-restarts": dict(sim, algorithms=[{"name": "ofu_relu", "fit": {"restarts": 0}}]),
     "sim-lambda": dict(sim, algorithms=[{"name": "oful", "lambda": 0}]),
     "est-delta": {"k": 1, "d": 2, "delta": 1.5}, "est-sample_sizes": {"k": 1, "d": 2, "sample_sizes": [0]},
-    # finite values that leave the float range: zeta overflows, t0 underflows nu**8, the grid overflows b**i
+    # finite values that leave the float range: zeta overflows, t0 underflows nu**8, the grid overflows
+    # b**i or (a - 1) T1
     "est-delta-range": {"k": 1, "d": 2, "delta": 1e-320}, "est-sigma-range": {"k": 1, "d": 2, "sigma": 1e200},
     "sim-nu0-range": dict(sim, algorithms=[{"name": "ofu_relu_plus", "nu0": 1e-300}]),
     "sim-b-range": dict(sim, algorithms=[{"name": "ofu_relu_plus", "b": 1e200}]),
+    "sim-a-range": dict(sim, algorithms=[{"name": "ofu_relu_plus", "a": 1e308}]),
     "sim-T1": dict(sim, T=5, algorithms=[{"name": "ofu_relu_plus", "T1": 10}]),
     "sim-override": dict(sim, algorithms=[{"name": "ofu_relu_plus", "practical_override": [1]}]),
 }

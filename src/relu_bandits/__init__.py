@@ -12,7 +12,7 @@ imported from their modules.
 """
 
 from .agents import OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig
-from .estimation import FitConfig, alpha_bound, fit_erm, h_bound, match_neurons, t0_schedule, zeta_bound
+from .estimation import FitConfig, alpha_bound, fit_erm, match_neurons, t0_schedule, zeta_bound
 from .harness import AggregateResult, Instance, TrialTrace, aggregate, gen_instance, run_trial, sample_arms
 from .linear_ucb import UcbConfig
 from .relu_model import ReluNetwork, eval_f_batch
@@ -36,7 +36,6 @@ __all__ = [
     "export_csv",
     "fit_erm",
     "gen_instance",
-    "h_bound",
     "match_neurons",
     "run_trial",
     "sample_arms",

@@ -10,16 +10,11 @@ Policies:
 * ``OfuReluAgent``: the paper's two ReLU algorithms as one policy: explore
   uniformly, fit the ReLU model by ERM on the explored rows, then run the
   linear UCB engine on the sign-robust lifted features of the
-  margin-restricted arm set.  A schedule resolved once from the config
-  drives it: OFU-ReLU (``OfuReluConfig``) is one batch [0, T] that explores
-  t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no gap
-  knowledge: a geometric batch grid shrinks the assumed gap batch by batch,
-  explored rows accumulate across batches, each refit after the first
-  starts its fit from the current estimate, and each refit rebuilds the
-  ridge as one block from the history, lifted under the fresh estimate, so
-  at every UCB round the ridge equals that replay.  The one policy
-  difference is where the replay starts: round t0 + 1 for OFU-ReLU, whose
-  exploration rows feed the fit only, and round 1 for OFU-ReLU+.
+  margin-restricted arm set, along a per-round phase plan resolved once from
+  the config.  OFU-ReLU (``OfuReluConfig``) is one batch [0, T] that
+  explores t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no
+  gap knowledge: a geometric batch grid shrinks the assumed gap batch by
+  batch and refits once per non-empty exploration window.
 * ``OfulAgent``: plain linear UCB on the raw d-dimensional arms, the
   deliberately misspecified baseline.
 * ``RandomAgent``: uniform choice, the sanity floor.
@@ -32,7 +27,6 @@ surrogate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,24 +113,30 @@ class BatchGrid:
 
 
 def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGrid:
-    """Batch count M = ceil(log(T/T1 + 1) / log a), boundaries (a^i - 1) T1.
+    """Boundaries ceil((a^i - 1) T1), each at least one past the last, added until one reaches T.
 
-    The last boundary is clamped to T.  Schedule-derived exploration sizes are
-    the increments max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))) at the run's k
-    and d and the config's ucb.sigma, C1 and C2; an override list supplies
-    them instead.  Either way each size is clamped to its batch length.
+    The boundary that reaches T is clamped to it, so the M batches are
+    nonempty and M <= T.  Batch i assumes the gap nu_i = nu0 / b^i.
+    Schedule-derived exploration sizes are the increments
+    max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))) at the run's k and d and the
+    config's ucb.sigma, C1 and C2; an override list supplies them instead.
+    Either way each size is clamped to its batch length.  A boundary or a
+    b^i out of floating-point range raises a ValueError naming a or b.
     """
     if T < cfg.T1:
         raise ValueError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
-    # round before ceil so exact powers of a do not pick up a spurious batch
-    M = max(1, math.ceil(round(math.log(T / cfg.T1 + 1.0) / math.log(cfg.a), 12)))
-    boundaries = [0]
-    for i in range(1, M + 1):
-        raw = (cfg.a**i - 1.0) * cfg.T1
-        bound = min(T, max(boundaries[-1] + 1, math.ceil(round(raw, 9))))
-        boundaries.append(bound)
-    boundaries[-1] = T
-    nus = tuple(cfg.nu0 / cfg.b**i for i in range(1, M + 1))
+    boundaries, nus = [0], []
+    while boundaries[-1] < T:
+        i = len(boundaries)
+        raw = (cfg.a**i - 1.0) * cfg.T1  # only i = 1 can overflow: a later batch has a^(i-1) < T + 1
+        if raw == math.inf:
+            raise ValueError(f"a={cfg.a!r} puts batch {i}'s boundary (a^{i} - 1) T1 out of floating-point range")
+        boundaries.append(min(T, max(boundaries[-1] + 1, math.ceil(round(raw, 9)))))
+        try:
+            nus.append(cfg.nu0 / cfg.b**i)
+        except OverflowError:
+            raise ValueError(f"b={cfg.b!r} puts batch {i}'s gap divisor b^{i} out of floating-point range") from None
+    M = len(nus)
     if cfg.practical_override is not None:
         if len(cfg.practical_override) < M:
             raise ValueError(
@@ -147,7 +147,7 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
         lengths = [math.ceil(t0_schedule(nu, k, d, cfg.ucb.sigma, T, C1=cfg.C1, C2=cfg.C2)) for nu in (cfg.nu0, *nus)]
         sizes = [max(0, cur - prev) for prev, cur in zip(lengths, lengths[1:])]
     sizes = tuple(min(size, boundaries[i + 1] - boundaries[i]) for i, size in enumerate(sizes))
-    return BatchGrid(M=M, boundaries=tuple(boundaries), nus=nus, explore_sizes=sizes)
+    return BatchGrid(M=M, boundaries=tuple(boundaries), nus=tuple(nus), explore_sizes=sizes)
 
 
 class _SequentialAgent:
@@ -231,25 +231,22 @@ def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, k: int, d: int, T:
 class OfuReluAgent(_SequentialAgent):
     """Explore, fit the ReLU neurons, then UCB over sign-robust features, batch by batch.
 
-    One agent runs both ReLU configs through the schedule ``_resolve_schedule``
-    returns; OFU-ReLU is the one-batch case of OFU-ReLU+.  The agent keeps one
-    history of its T rounds: chosen rows, rewards and an explored flag.
-    Within batch i the first explore_sizes[i] rounds sample uniformly; the
-    last of them refits the model on every explored round so far (a later
-    refit starts from the current estimate, ``fit_erm``'s warm path) and
-    rebuilds the 2kd ridge state from the history from the replay start,
-    lifted under the new estimate and absorbed as one block (features of past
-    actions change with the estimate, so the state cannot be patched across
-    a refit).  Between refits each UCB round enters the ridge incrementally,
-    so at every UCB round the state equals that replay under the current
-    estimate.
+    One agent runs both ReLU configs (OFU-ReLU is the one-batch case of
+    OFU-ReLU+) along a phase plan that the constructor resolves from the
+    batch grid ``_resolve_schedule`` returns, one entry per round:
 
-    Until the first refit the agent keeps exploring, counted in
-    ``forced_exploration_rounds``.  A UCB round projects the offered arms on
-    the estimate once and keeps the arms with margin nu_i/2 in that
-    projection; when that empties the offered set, the full set is used and
-    the round is counted in ``fallback_rounds``.  The lift reads the same
-    projection, so the filter and the indicators cannot disagree.
+    * explore: the first explore_sizes[i] rounds of batch i sample
+      uniformly, and so does every round before the first window, having no
+      fit to select with (counted in ``forced_exploration_rounds``);
+    * refit: the last round of each nonempty window refits the model on every
+      explored round so far (after the first fit, from the current estimate:
+      ``fit_erm``'s warm path) and rebuilds the 2kd ridge state as one block
+      from the history from the replay start, lifted under the new estimate;
+    * margin: any other round of batch i is a UCB round.  It projects the
+      offered arms on the estimate once and keeps those with margin nu_i/2
+      in that projection, or all of them when none has (counted in
+      ``fallback_rounds``); the lift reads the same projection.  Its row then
+      enters the ridge, so at every UCB round the state equals the replay.
     """
 
     def __init__(self, k: int, d: int, T: int, cfg: OfuReluConfig | OfuReluPlusConfig):
@@ -258,16 +255,20 @@ class OfuReluAgent(_SequentialAgent):
         self._k, self._d = k, d
         self._cfg = cfg
         self.grid, self._replay_start = _resolve_schedule(cfg, k, d, T)
-        # the round at which each batch stops exploring
-        self._explore_end = [start + size for start, size in zip(self.grid.boundaries, self.grid.explore_sizes)]
+        # the phase plan, indexed by round t - 1: explore or select, and the UCB margin; plus the rounds that refit
+        windows = [(start, start + size) for start, size in zip(self.grid.boundaries, self.grid.explore_sizes) if size]
+        self._unfitted = windows[0][0] if windows else T  # the rounds before the first window
+        self._explore = np.zeros(T, dtype=bool)
+        for start, end in [(0, self._unfitted), *windows]:
+            self._explore[start:end] = True
+        self._refits = {end for _, end in windows}
+        self._margins = np.repeat(np.array(self.grid.nus) / 2.0, np.diff(self.grid.boundaries))
         self._estimate: ReluNetwork | None = None
         self._ridge = LinearUcbState(2 * k * d, cfg.ucb.lam)
         self._pending_features: np.ndarray | None = None
         self._actions = np.empty((T, d))
         self._rewards = np.empty(T)
-        self._explored = np.zeros(T, dtype=bool)
         self.fallback_rounds = 0
-        self.forced_exploration_rounds = 0
 
     @property
     def estimate(self) -> ReluNetwork | None:
@@ -281,25 +282,22 @@ class OfuReluAgent(_SequentialAgent):
     @property
     def pool_size(self) -> int:
         """Number of explored rounds, the rows the next refit uses."""
-        return int(self._explored[: self._t].sum())
+        return int(self._explore[: self._t].sum())
+
+    @property
+    def forced_exploration_rounds(self) -> int:
+        """Rounds so far that explored before the first window, for want of a fit."""
+        return min(self._t, self._unfitted)
 
     def history(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the (t, d) chosen rows and t rewards of the rounds so far."""
         return self._actions[: self._t].copy(), self._rewards[: self._t].copy()
 
-    def _batch_of(self, t: int) -> int:
-        # the first batch i with t <= boundaries[i + 1]; the last batch past T
-        return bisect_left(self.grid.boundaries, t, 1, self.grid.M) - 1
-
     def _select(self, arms, rng, t):
-        i = self._batch_of(t)
-        if t <= self._explore_end[i] or self._estimate is None:
-            if t > self._explore_end[i]:
-                # no refit has run yet: keep exploring rather than select without a model
-                self.forced_exploration_rounds += 1
+        if self._explore[t - 1]:
             return int(rng.integers(len(arms)))
         proj = arms @ self._estimate.weights.T  # one projection serves the filter and the lift
-        mask = margin_mask(proj, self.grid.nus[i] / 2.0)
+        mask = margin_mask(proj, self._margins[t - 1])
         kept = np.flatnonzero(mask)
         if len(kept) == len(arms):
             kept = None  # every arm, without copying them
@@ -320,15 +318,11 @@ class OfuReluAgent(_SequentialAgent):
             # a UCB round: absorb under the current estimate
             ridge_update(self._ridge, self._pending_features, reward)
             self._pending_features = None
-            return
-        # an exploration round, which only the next fit reads
-        self._explored[t - 1] = True
-        i = self._batch_of(t)
-        if t == self._explore_end[i] and self.grid.boundaries[i] < t:
+        elif t in self._refits:
             self._refit()
 
     def _refit(self):
-        X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explored[: self._t]
+        X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explore[: self._t]
         self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit, init=self._estimate)
         self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
         start = self._replay_start

@@ -183,8 +183,6 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
             algos.append(_build_algorithm(echoes[-1], fit, k, d, T))
         except ValueError as exc:  # invariant and grid errors carry no location
             raise ValueError(f"{where}: {exc}") from exc
-        except ArithmeticError as exc:  # the grid's own arithmetic (b**i) over- or underflows
-            raise ValueError(f"{where}: a value is out of floating-point range for the batch grid ({exc})") from exc
     labels = [a.label for a in algos]
     if len(set(labels)) != len(labels):
         raise ValueError("algorithm labels must be unique (set 'label' to disambiguate)")

@@ -81,16 +81,16 @@ def fit_erm(X, y, k: int, cfg: FitConfig, init: ReluNetwork | None = None) -> Re
     vanishes at a minimum on the sphere.  Otherwise each restart does the
     arithmetic of a lone descent, so the result equals running them one after
     another.  The earliest restart with the smallest finite final loss
-    (``np.mean``) wins.  Raises RuntimeError if a label is not finite, which
-    makes every loss non-finite, or if every final loss is non-finite.  Given
-    ``init``, a (k, d) estimate, the fit is one restart from its rows (the warm
-    path), with the same steps, stop rule and redraws; the generator then makes
-    no initial draws.  Another shape of ``init`` raises ValueError.
+    (``np.mean``) wins.  A label that is not finite raises ValueError; a fit
+    whose every final loss is non-finite raises RuntimeError.  Given ``init``,
+    a (k, d) estimate, the fit is one restart from its rows (the warm path),
+    with the same steps, stop rule and redraws; the generator then makes no
+    initial draws.  Another shape of ``init`` raises ValueError.
     """
     _require("k", k, 1, integer=True)
     X, y = _as_data(X, y)
     if not np.isfinite(y).all():
-        raise RuntimeError("labels must be finite")
+        raise ValueError("labels must be finite")
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
     if init is None:

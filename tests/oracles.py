@@ -10,6 +10,7 @@ for anything except types under test.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -152,6 +153,33 @@ def margin_ucb_select_reference(arms, weights, nu, theta_hat, gram_inv, beta):
     feats = sign_robust_features_reference(arms[kept], weights)
     j = ucb_select_reference(theta_hat, gram_inv, beta, feats)
     return int(kept[j]), feats[j], fell_back
+
+
+def batch_phases_reference(boundaries, explore_sizes, nus, T: int):
+    """The batched agent's phases by the per-round bisect rule it once ran.
+
+    Round t belongs to the first batch i with t <= boundaries[i + 1] (the
+    last batch past T).  It explores while t <= boundaries[i] +
+    explore_sizes[i] or while nothing is fitted yet (forced when outside the
+    window), and an explored round that ends a nonempty window refits.
+    Returns per-round explore flags, the refit rounds, per-round margins
+    nu_i / 2 and the running count of forced rounds.
+    """
+    M = len(boundaries) - 1
+    explore, refits, margins, forced = [], [], [], []
+    fitted, n_forced = False, 0
+    for t in range(1, T + 1):
+        i = bisect.bisect_left(boundaries, t, 1, M) - 1
+        end = boundaries[i] + explore_sizes[i]
+        explores = t <= end or not fitted
+        n_forced += explores and t > end
+        if explores and t == end and boundaries[i] < t:
+            refits.append(t)
+            fitted = True
+        explore.append(explores)
+        margins.append(nus[i] / 2.0)
+        forced.append(n_forced)
+    return explore, refits, margins, forced
 
 
 # the copy-on-update ridge engine, the form the package replaced with one

@@ -26,7 +26,6 @@ from relu_bandits import (
     UcbConfig,
     eval_f_batch,
     gen_instance,
-    h_bound,
     match_neurons,
     sample_arms,
     t0_schedule,
@@ -34,6 +33,7 @@ from relu_bandits import (
 )
 from relu_bandits import agents
 from relu_bandits.agents import OfuReluAgent, build_batch_grid
+from relu_bandits.estimation import h_bound
 from relu_bandits.linear_ucb import LinearUcbState, ridge_update, ucb_select
 from relu_bandits.relu_model import exact_argmax_2d, margin_mask, sign_robust_features_batch
 from relu_bandits.cli import parse_experiment_config, run_experiment

@@ -21,7 +21,7 @@ from relu_bandits.agents import OfuReluAgent, OfulAgent, RandomAgent, build_batc
 from relu_bandits.linear_ucb import LinearUcbState, conf_radius, ridge_update
 from relu_bandits.relu_model import margin_mask, sign_robust_features_batch
 
-from oracles import margin_ucb_select_reference
+from oracles import batch_phases_reference, margin_ucb_select_reference
 
 UCB = UcbConfig(sigma=0.1, S=math.sqrt(5.0), delta=0.1, lam=1.0)
 FIT = FitConfig(restarts=3, max_iters=200, seed=0)
@@ -283,11 +283,10 @@ class _ReferenceSelectAgent(OfuReluAgent):
     """OfuReluAgent whose UCB rounds filter, lift and select the reference way."""
 
     def _select(self, arms, rng, t):
-        i = self._batch_of(t)
-        if t <= self._explore_end[i] or self._estimate is None:
+        if self._explore[t - 1]:
             return super()._select(arms, rng, t)
         idx, self._pending_features, fell_back = margin_ucb_select_reference(
-            arms, self._estimate.weights, self.grid.nus[i] / 2.0,
+            arms, self._estimate.weights, self._margins[t - 1],
             self._ridge.gram_inv @ self._ridge.moment, self._ridge.gram_inv, conf_radius(self._ridge, self._cfg.ucb),
         )
         self.fallback_rounds += fell_back
@@ -394,6 +393,66 @@ class TestBuildBatchGrid:
         grid = build_batch_grid(plus_config((5, 5, 5)), 1, 2, 60)
         assert grid.boundaries[-1] == 60
         assert all(b2 > b1 for b1, b2 in zip(grid.boundaries, grid.boundaries[1:]))
+
+    def test_no_empty_batch_after_T(self):
+        # (a^i - 1) T1 = 1, 2.5, 4.75: the third boundary reaches T = 5 once
+        # rounded up, so three override entries suffice (the count
+        # ceil(log(T/T1 + 1) / log a) = ceil(3.09) added an empty fourth batch)
+        grid = build_batch_grid(plus_config((1, 1, 1), T1=2, a=1.5), 1, 2, 5)
+        assert (grid.M, grid.boundaries) == (3, (0, 1, 3, 5))
+
+    def test_a_near_one_gives_at_most_T_batches(self):
+        # (a^i - 1) T1 stays below 1 for thousands of batches, so the
+        # at-least-one-past-the-last rule sets every boundary: one batch per round
+        cfg = plus_config((1,) * 1000, a=1.00000001)
+        grid = build_batch_grid(cfg, 1, 2, 1000)
+        assert grid.M == 1000 and grid.boundaries == tuple(range(1001))
+        with pytest.raises(ValueError, match="^practical_override has 1 entries but the grid has 1000 batches$"):
+            build_batch_grid(plus_config((10,), a=1.00000001), 1, 2, 1000)
+
+
+class TestPhasePlanMatchesBisectRule:
+    """The plan resolved at construction against the per-round bisect rule it replaced."""
+
+    @pytest.mark.parametrize(
+        "cfg,k,T,refits,forced",
+        [
+            (plus_config((0, 3, 2)), 1, 60, [13, 32], 10),
+            (OfuReluPlusConfig(nu0=1.0, T1=10, a=2.0, b=2.0 ** (1.0 / 32.0), ucb=UCB, fit=FIT), 3, 1000, [], 1000),
+            (OfuReluConfig(t0=17, ucb=UCB, fit=FIT, nu=0.4), 1, 12, [12], 0),
+            (plus_config((20, 30, 50)), 1, 70, [10, 30, 70], 0),
+            (TestBuildBatchGrid.SHAPE_FREE, 1, 150, [30, 70, 150], 10),
+            (plus_config((6, 3, 0, 2)), 2, 80, [6, 13, 72], 0),
+            (OfuReluConfig(t0=6, ucb=UCB, fit=FIT, nu=0.4), 1, 30, [6], 0),
+        ],
+        ids=[
+            "override-starts-with-0", "theoretical-never-fits", "t0-beyond-T", "windows-fill-batches",
+            "theoretical-forced-then-full", "empty-later-window", "ofu_relu",
+        ],
+    )
+    def test_explore_refit_margin_and_forced_rounds(self, cfg, k, T, refits, forced, monkeypatch):
+        # the agent's phases are read from what it does: a round that calls
+        # margin_mask is a UCB round, at the margin it passes; fit_erm records
+        # the round it refits at and returns a fixed estimate
+        est = ReluNetwork(np.eye(2)[np.arange(k) % 2])
+        refit_rounds, margins = [], []
+        monkeypatch.setattr(agents, "fit_erm", lambda *args, init=None: refit_rounds.append(len(agent.history()[1])) or est)
+        monkeypatch.setattr(agents, "margin_mask", lambda proj, nu: margins.append(nu) or margin_mask(proj, nu))
+        agent = OfuReluAgent(k, 2, T, cfg)
+        want = batch_phases_reference(agent.grid.boundaries, agent.grid.explore_sizes, agent.grid.nus, T)
+        arms, rng = sample_arms(6, 2, np.random.default_rng(30)), np.random.default_rng(31)
+        explore, forced_so_far = [], []
+        for _ in range(T):
+            calls = len(margins)
+            agent.select_arm(arms, rng)
+            explore.append(len(margins) == calls)
+            agent.observe(0.0)
+            forced_so_far.append(agent.forced_exploration_rounds)
+        assert (refit_rounds, forced_so_far[-1]) == (refits, forced)
+        assert explore == want[0]
+        assert refit_rounds == want[1]
+        assert margins == [m for m, e in zip(want[2], want[0]) if not e]
+        assert forced_so_far == want[3]
 
 
 class TestOfuReluPlusAgent:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from oracles import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-GRID_RANGE = "algorithms[0]: a value is out of floating-point range"
+GRID_RANGE = "algorithms[0]: {key}={value} puts batch {i}'s {what} out of floating-point range"
 T0_RANGE = "algorithms[0]: t0_schedule(nu={nu}, k=1, d=2, sigma=0.1, T=40, C1={C1}, C2=1.0) is out of floating-point range"
 HUGE_INT = 10**400  # a JSON integer that float() cannot convert
 
@@ -364,7 +365,8 @@ class TestSimulate:
             ({"name": "ofu_relu_plus", "T1": 50}, "T1"),
             ({"name": "ofu_relu_plus", "T1": 8, "practical_override": [4]}, "practical_override"),
             ({"name": "ofu_relu_plus", "T1": 8, "nu0": 1e-300}, T0_RANGE.format(nu="1e-300", C1="1.0")),  # nu**8 underflows to 0
-            ({"name": "ofu_relu_plus", "T1": 8, "b": 1e300}, GRID_RANGE),  # b**2 overflows
+            ({"name": "ofu_relu_plus", "T1": 8, "b": 1e300}, GRID_RANGE.format(key="b", value="1e+300", i=2, what="gap divisor b^2")),
+            ({"name": "ofu_relu_plus", "T1": 8, "a": 1e308}, GRID_RANGE.format(key="a", value="1e+308", i=1, what="boundary (a^1 - 1) T1")),
             ({"name": "ofu_relu_plus", "T1": 8, "C1": 1e308}, T0_RANGE.format(nu="1.0", C1="1e+308")),  # t0(nu) is inf
             ({"name": "oful", "lambda": 1e-320}, "algorithms[0]: lambda"),  # 1/lambda is inf
             ({"name": "ofu_relu", "lambda": 1e-16}, "algorithms[0]: lambda"),  # below sqrt(eps)
@@ -376,7 +378,7 @@ class TestSimulate:
         ],
         ids=[
             "fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short",
-            "nu0-underflow", "b-overflow", "C1-overflow", "lambda-reciprocal", "lambda-tiny",
+            "nu0-underflow", "b-overflow", "a-overflow", "C1-overflow", "lambda-reciprocal", "lambda-tiny",
             "delta-reciprocal", "C1-zero", "C2-negative", "C1-nan", "C2-nan",
         ],
     )
@@ -386,6 +388,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert field in err
         assert err.count("algorithms[0]") == 1  # the location is named once
+        assert not (tmp_path / "o").exists()
+
+    def test_a_near_one_exit2_promptly(self, tmp_path, capsys):
+        # the grid is one batch per round (1000 of them), not the 4.6e8 that
+        # log(T/T1 + 1) / log a counts, so the short override fails at once
+        block = {"name": "ofu_relu_plus", "a": 1.00000001, "practical_override": [10]}
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, T=1000, algorithms=[block]))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "algorithms[0]: practical_override has 1 entries but the grid has 1000 batches" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_plus_grid_that_never_fits_warns(self, capsys):

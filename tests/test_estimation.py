@@ -12,18 +12,18 @@ from relu_bandits import (
     alpha_bound,
     eval_f_batch,
     fit_erm,
-    h_bound,
     match_neurons,
     t0_schedule,
     zeta_bound,
 )
 from relu_bandits import estimation
+from relu_bandits.estimation import h_bound
 
 from oracles import (
     empirical_sq_loss, exhaustive_match, fit_erm_reference, mp_alpha, mp_h, mp_sphere_area, mp_t0, mp_zeta,
 )
 
-GAVE_UP = ("labels must be finite", "all restarts produced non-finite losses")  # fit_erm's RuntimeErrors
+NON_FINITE = {ValueError: "labels must be finite", RuntimeError: "all restarts produced non-finite losses"}
 VACUOUS = r"^h_bound\(eta=.*\) is vacuous: the denominator is nonpositive$"
 
 
@@ -204,7 +204,7 @@ class TestFitErm:
         assert empirical_sq_loss(est, *data) <= empirical_sq_loss(truth, *data) + 1e-6
 
     def test_all_restarts_failing(self):
-        with pytest.raises(RuntimeError, match="^labels must be finite$"):
+        with pytest.raises(ValueError, match="^labels must be finite$"):
             fit_erm([[1.0, 0.0]], [float("inf")], 1, FitConfig(restarts=2, max_iters=10, seed=3))
 
     def test_loss_lipschitz_in_parameters(self):
@@ -229,13 +229,13 @@ class TestFitErmMatchesPerRestartLoop:
         cfg = FitConfig(restarts=restarts, max_iters=max_iters, step_size=step_size, tol=tol, seed=seed)
         try:
             got = fit_erm(X, y, k, cfg, init=None if init is None else ReluNetwork(init)).weights
-        except RuntimeError as exc:
-            assert str(exc) in GAVE_UP
+        except (ValueError, RuntimeError) as exc:
+            assert str(exc) == NON_FINITE[type(exc)]
             got = None
         try:
             want = fit_erm_reference(X, y, k, restarts, max_iters, step_size, tol, seed, init=init)
         except RuntimeError as exc:
-            assert str(exc) == GAVE_UP[1]
+            assert str(exc) == NON_FINITE[RuntimeError]
             want = None
         return got, want
 

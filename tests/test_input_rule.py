@@ -46,7 +46,6 @@ from relu_bandits import (
     alpha_bound,
     fit_erm,
     gen_instance,
-    h_bound,
     run_trial,
     sample_arms,
     t0_schedule,
@@ -55,6 +54,7 @@ from relu_bandits import (
 from relu_bandits import cli
 from relu_bandits.agents import RandomAgent, build_batch_grid, make_agent
 from relu_bandits.errors import _require
+from relu_bandits.estimation import h_bound
 from relu_bandits.harness import ExperimentConfig, run_experiment
 from relu_bandits.linear_ucb import LAMBDA_MIN, LinearUcbState, conf_radius, ridge_update, ucb_select
 from relu_bandits.relu_model import exact_argmax_2d, margin_mask, sign_robust_features_batch
@@ -254,6 +254,7 @@ NOT_RANGES = [
     pytest.param(lambda: fit_erm([[1.0, 0.0]], [0.0, 1.0], 1, FIT), r"y has shape \(2,\), expected \(1,\)", id="fit_erm.y"),
     pytest.param(lambda: fit_erm([[1.0, 0.0]], [0.0], 2, FIT, init=NET), r"init has shape \(1, 2\), expected \(2, 2\)",
                  id="fit_erm.init"),
+    pytest.param(lambda: fit_erm([[1.0, 0.0]], [math.inf], 1, FIT), "labels must be finite", id="fit_erm.y-finite"),
     pytest.param(lambda: match_neurons(NET, ReluNetwork(np.eye(2))), r"estimate \(1, 2\) and truth \(2, 2\) disagree",
                  id="match_neurons"),
     pytest.param(lambda: eval_f_batch(NET, np.ones((1, 3))), r"actions have shape \(1, 3\), expected \(m, 2\)",
@@ -274,6 +275,10 @@ NOT_RANGES = [
                  id="build_batch_grid.T"),
     pytest.param(lambda: build_batch_grid(plus(practical_override=(3, 3)), 1, 2, 70),
                  "practical_override has 2 entries but the grid has 3 batches", id="build_batch_grid.practical_override"),
+    pytest.param(lambda: build_batch_grid(plus(a=1e308), 1, 2, 40),
+                 r"a=1e\+308 puts batch 1's boundary \(a\^1 - 1\) T1 out of floating-point range", id="build_batch_grid.a"),
+    pytest.param(lambda: build_batch_grid(plus(b=1e200), 1, 2, 40),
+                 r"b=1e\+200 puts batch 2's gap divisor b\^2 out of floating-point range", id="build_batch_grid.b"),
     pytest.param(lambda: make_agent(object(), 1, 2, 10), "unknown agent config type object", id="make_agent.cfg"),
 ]
 
@@ -320,7 +325,6 @@ def pending_agent():
 
 # the failures that are not bad input
 NOT_INPUT = [
-    pytest.param(lambda: fit_erm([[1.0, 0.0]], [math.inf], 1, FIT), RuntimeError, "labels must be finite", id="fit_erm"),
     pytest.param(lambda: gen_instance(3, 2, 0.999, 0.1, np.random.default_rng(2)), RuntimeError,
                  r"no instance with separation 0\.999 found for k=3, d=2 in 10000 attempts", id="gen_instance"),
     pytest.param(lambda: RandomAgent().observe(0.0), RuntimeError, r"select_arm\(\) must be called before observe\(\)",
