@@ -12,10 +12,12 @@
 # schedule, which no shipped config runs: one block whose small C1 and C2 give
 # non-empty windows, and the default block, which never fits.
 # estimate runs on two small configs at two seeds.  Last, simulate and
-# estimate run on seventeen configs that each break one checked input, seven
-# of them by a finite value whose bound or batch-grid arithmetic leaves the
-# float range; their stdout (empty) and exit code (2) must match, while
-# stderr, the message, may change.
+# estimate run on twenty-six configs that each break one checked input: seven
+# by a finite value whose bound or batch-grid arithmetic leaves the float
+# range, and nine by a JSON value that is not a number in the float range of
+# the asked kind (a float for an integer, a string, a bool, NaN, Infinity or
+# an integer beyond the largest float); their stdout (empty) and exit code (2)
+# must match, while stderr, the message, may change.
 # Prints one ::warning:: per output that differs or run that fails, then a
 # count for each kind; always exits 0.
 set -u
@@ -119,6 +121,14 @@ bad = {
     "sim-a-range": dict(sim, algorithms=[{"name": "ofu_relu_plus", "a": 1e308}]),
     "sim-T1": dict(sim, T=5, algorithms=[{"name": "ofu_relu_plus", "T1": 10}]),
     "sim-override": dict(sim, algorithms=[{"name": "ofu_relu_plus", "practical_override": [1]}]),
+    # values that are not numbers in the float range of the asked kind, which the range rule rejects
+    "sim-T-float": dict(sim, T=2.5), "sim-sigma-str": dict(sim, sigma="0.1"), "sim-k-huge": dict(sim, k=10**400),
+    "sim-lambda-bool": dict(sim, algorithms=[{"name": "oful", "lambda": True}]),
+    "sim-delta-floor": dict(sim, algorithms=[{"name": "oful", "delta": 1e-320}]),
+    "sim-C1-nan": dict(sim, algorithms=[{"name": "ofu_relu_plus", "C1": float("nan")}]),
+    "sim-override-str": dict(sim, algorithms=[{"name": "ofu_relu_plus", "practical_override": ["a"]}]),
+    "sim-tol-inf": dict(sim, algorithms=[{"name": "ofu_relu", "fit": {"tol": float("inf")}}]),
+    "est-sample_sizes-float": {"k": 1, "d": 2, "sample_sizes": [1.5]},
 }
 for name, cfg in bad.items():
     json.dump(cfg, open(f"{sys.argv[1]}/bad-{name}.json", "w"))

@@ -120,8 +120,8 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
     Schedule-derived exploration sizes are the increments
     max(0, ceil(t0(nu_i)) - ceil(t0(nu_{i-1}))) at the run's k and d and the
     config's ucb.sigma, C1 and C2; an override list supplies them instead.
-    Either way each size is clamped to its batch length.  A boundary or a
-    b^i out of floating-point range raises a ValueError naming a or b.
+    Either way each size is clamped to its batch length.  A ValueError names
+    a for a boundary out of floating-point range, and a and b for a b^i.
     """
     if T < cfg.T1:
         raise ValueError(f"horizon T={T} is shorter than the first batch T1={cfg.T1}")
@@ -135,7 +135,8 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
         try:
             nus.append(cfg.nu0 / cfg.b**i)
         except OverflowError:
-            raise ValueError(f"b={cfg.b!r} puts batch {i}'s gap divisor b^{i} out of floating-point range") from None
+            msg = f"a={cfg.a!r} and b={cfg.b!r} put batch {i}'s gap divisor b^{i} out of floating-point range"
+            raise ValueError(msg) from None
     M = len(nus)
     if cfg.practical_override is not None:
         if len(cfg.practical_override) < M:

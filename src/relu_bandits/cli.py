@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 
 from .agents import AgentConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, build_batch_grid
-from .errors import _is_int, _require
+from .errors import _fits_float, _is_int, _require
 from .estimation import FitConfig, alpha_bound, fit_erm, match_neurons, zeta_bound
 from .harness import ExperimentConfig, _check_instance, _stream, gen_instance, run_experiment, sample_arms
 from .linear_ucb import UcbConfig
@@ -38,9 +38,9 @@ def _ucb_table(s_factor: float) -> dict:
 
 
 # One table per JSON block: key -> (kind, default).  A kind is int, float,
-# str, list (any list), list[int] or a nested table; a callable default is
-# evaluated at (k, T, sigma).  ``_parse`` resolves a block against its table,
-# and the result is both what the objects are built from and the echo.
+# str, list or a nested table; a callable default is evaluated at the
+# checked (k, T, sigma).  ``_parse`` resolves a block against its table, and
+# the result is both what the objects are built from and the echo.
 FIT = {f.name: (type(f.default), f.default) for f in fields(FitConfig)}
 INSTANCE = {
     "k": (int, REQUIRED), "d": (int, REQUIRED), "sigma": (float, 0.1), "alpha0": (float, 0.0), "seed": (int, 0),
@@ -53,7 +53,7 @@ EXPERIMENT = {
     "out_dir": (str, "results"),
     "algorithms": (list, REQUIRED),
 }
-ESTIMATE = {**INSTANCE, "sample_sizes": (list[int], [20, 100, 500]), "delta": (float, 0.05), "fit": (FIT, None)}
+ESTIMATE = {**INSTANCE, "sample_sizes": (list, [20, 100, 500]), "delta": (float, 0.05), "fit": (FIT, None)}
 ALGORITHMS = {
     "random": {},
     "oful": _ucb_table(1.0),
@@ -65,34 +65,21 @@ ALGORITHMS = {
         "b": (float, 2.0 ** (1.0 / 32.0)),
         "C1": (float, 1.0),
         "C2": (float, 1.0),
-        "practical_override": (list[int], None),
+        "practical_override": (list, None),
         **_ucb_table(5.0),
         "fit": (FIT, None),
     },
 }
 
 
-def _fits_float(v: int) -> bool:
-    """Whether float(v) succeeds: Python integers are unbounded, floats stop near 1.8e308."""
-    return abs(v) <= sys.float_info.max
-
-
 def _value(v, kind, key: str, where: str):
-    """Type-check one value that the block sets; an integer is accepted as a float."""
-    if kind is float and _is_int(v):
-        v = float(v) if _fits_float(v) else math.inf  # float() would overflow; rejected below
-    if kind is int and not _is_int(v):
-        raise ValueError(f"key '{key}' in {where} must be an integer")
-    if kind is int and not _fits_float(v):
-        raise ValueError(f"key '{key}' in {where} is out of floating-point range")
-    if kind is float and not (isinstance(v, float) and math.isfinite(v)):
-        raise ValueError(f"key '{key}' in {where} must be a finite number")
+    """Check the kind of a string or list value; take an integer as a float, and leave numbers to ``_require``."""
+    if kind is float and _is_int(v) and _fits_float(v):
+        return float(v)
     if kind is str and not isinstance(v, str):
         raise ValueError(f"key '{key}' in {where} must be a string")
     if kind is list and not isinstance(v, list):
         raise ValueError(f"key '{key}' in {where} must be a list")
-    if kind == list[int] and not (isinstance(v, list) and all(map(_is_int, v))):
-        raise ValueError(f"key '{key}' in {where} must be a list of integers")
     return v
 
 

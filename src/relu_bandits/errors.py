@@ -1,4 +1,4 @@
-"""The one range rule for checked inputs, and its integer predicate.
+"""The one range rule for checked inputs, and its integer and float-range predicates.
 
 The package defines no exception types of its own.  Every failure raises a
 builtin: ValueError for bad input (a value, a shape, a dimension or a config
@@ -8,7 +8,8 @@ out of order.
 """
 
 import math
-from numbers import Integral
+import sys
+from numbers import Integral, Real
 
 
 def _is_int(v) -> bool:
@@ -16,13 +17,18 @@ def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _fits_float(v) -> bool:
+    """Whether v lies within the float range: Python integers are unbounded, and NaN and inf do not."""
+    return abs(v) <= sys.float_info.max
+
+
 def _require(name: str, value, low, high=math.inf, *, integer: bool = False, strict: bool = False) -> None:
     """Raise a ValueError naming ``name`` unless low <= value < high (low < value if strict).
 
-    With ``integer`` the value must also pass ``_is_int``.  NaN fails every
-    comparison and +inf fails ``value < high``, so neither passes.
+    The value must be a real number, not a bool, within the float range, and
+    with ``integer`` it must pass ``_is_int``.  NaN and +inf fail the range.
     """
-    if (integer and not _is_int(value)) or not (low < value if strict else low <= value) or not value < high:
+    number = _is_int(value) if integer else isinstance(value, Real) and not isinstance(value, bool)
+    if not (number and _fits_float(value) and (low < value if strict else low <= value) and value < high):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{name} must be {kind} in {'(' if strict else '['}{low:g}, {high:g}), got {value!r}")
-

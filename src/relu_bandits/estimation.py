@@ -39,8 +39,7 @@ class FitConfig:
         _require("max_iters", self.max_iters, 1, integer=True)
         _require("seed", self.seed, 0, integer=True)  # numpy's generators take no negative seed
         _require("step_size", self.step_size, 0.0, strict=True)
-        if not self.tol > 0.0:  # unbounded: a huge tol freezes every restart at once; NaN fails
-            raise ValueError(f"tol must be a number in (0, inf], got {self.tol!r}")
+        _require("tol", self.tol, 0.0, strict=True)  # a huge tol freezes every restart at once
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ agents here pass 1/sqrt(T)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .relu_model import _row_sum
 
 REFACTOR_EVERY = 512
 LAMBDA_MIN = math.sqrt(np.finfo(float).eps)  # ~1.49e-8; below it the Sherman-Morrison updates lose the ridge solution
+DELTA_MIN = 1.0 / sys.float_info.max  # ~5.56e-309, an open floor: the radius takes log(1/delta), and 1/DELTA_MIN is inf
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,7 @@ class UcbConfig:
     def __post_init__(self):
         _require("sigma", self.sigma, 0.0)
         _require("S", self.S, 0.0, strict=True)
-        _require("delta", self.delta, 0.0, 1.0, strict=True)
-        if math.isinf(1.0 / self.delta):  # the radius takes log(1/delta)
-            raise ValueError(f"delta must have a finite reciprocal, got {self.delta!r}")
+        _require("delta", self.delta, DELTA_MIN, 1.0, strict=True)
         _require("lambda", self.lam, LAMBDA_MIN)
 
 

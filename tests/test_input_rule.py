@@ -5,15 +5,14 @@ valid, and the range the rule gives it: low, high, whether low itself is
 excluded and whether the value must be an integer.  From the range the table
 derives what it sends.  NaN, +inf, the nearest value outside its low end and,
 where high is finite, high itself must raise a ValueError whose message starts
-with the name; so must a bool and a float where an integer is required (a
-bool is a number to Python, so the number rows take it as 0 or 1).  The value
-on a closed bound, or a step of 2**-10 inside an open one, must pass.  The
-CLI's JSON layer names a key of the wrong kind as "key 'name' in ...", which
-also counts.
+with the name; so must what is not a number in the float range, whatever the
+row: a bool, a string and an integer beyond the largest float, and a float
+where an integer is required.  A CLI key takes the same message, since the
+JSON layer leaves every number to the rule.  The value on a closed bound, or
+a step of 2**-10 inside an open one, must pass.
 
-Checks that are not plain ranges have their own tests: ``UcbConfig.delta``'s
-finite reciprocal, ``FitConfig.tol``'s open top, the instance's alpha0
-separation bound and ``zeta_bound`` accepting delta >= 1.
+The one check that is not a plain range, the instance's alpha0 separation
+bound, has its own tests.
 
 The package defines no exception classes.  A check that is not a range, of a
 shape, a dimension or a batch grid, raises a plain ValueError; a bound
@@ -56,7 +55,7 @@ from relu_bandits.agents import RandomAgent, build_batch_grid, make_agent
 from relu_bandits.errors import _require
 from relu_bandits.estimation import h_bound
 from relu_bandits.harness import ExperimentConfig, run_experiment
-from relu_bandits.linear_ucb import LAMBDA_MIN, LinearUcbState, conf_radius, ridge_update, ucb_select
+from relu_bandits.linear_ucb import DELTA_MIN, LAMBDA_MIN, LinearUcbState, conf_radius, ridge_update, ucb_select
 from relu_bandits.relu_model import exact_argmax_2d, margin_mask, sign_robust_features_batch
 
 INSIDE = 2.0**-10  # the step inside an open bound: small, and every formula stays in range at it
@@ -152,7 +151,7 @@ def estimate(seed=None, **key):
 
 ROWS = [
     *rows("FitConfig", FitConfig, ("restarts", 1), ("max_iters", 1), ("seed", 0), integer=True),
-    *rows("FitConfig", FitConfig, ("step_size", 0.0), strict=True),
+    *rows("FitConfig", FitConfig, ("step_size", 0.0), ("tol", 0.0), strict=True),
     Row("fit_erm", "k", lambda k: fit_erm([[1.0, 0.0]], [0.0], k, FIT), 1, integer=True),
     *rows("zeta_bound", zeta, ("k", 1), ("d", 1), integer=True),
     *rows("zeta_bound", zeta, ("n", 1), ("sigma", 0.0)),
@@ -172,7 +171,7 @@ ROWS = [
     Row("OfuReluPlusConfig", "practical_override", lambda v: plus(practical_override=(3, v)), 0, integer=True),
     *rows("UcbConfig", ucb, ("sigma", 0.0)),
     Row("UcbConfig", "lambda", lambda v: ucb(lam=v), LAMBDA_MIN),
-    *rows("UcbConfig", ucb, ("S", 0.0), ("delta", 0.0, 1.0), strict=True),
+    *rows("UcbConfig", ucb, ("S", 0.0), ("delta", DELTA_MIN, 1.0), strict=True),
     Row("LinearUcbState", "dim", LinearUcbState, 1, integer=True),
     Row("LinearUcbState", "lambda", lambda v: LinearUcbState(2, v), LAMBDA_MIN),
     *rows("gen_instance", instance, ("k", 1), ("d", 2), integer=True),
@@ -192,9 +191,9 @@ ROWS = [
 
 def rejected(row):
     below = row.low - 1 if row.integer else (row.low if row.strict else math.nextafter(row.low, -math.inf))
-    values = {"nan": math.nan, "inf": math.inf, "below": below}
+    values = {"nan": math.nan, "inf": math.inf, "below": below, "bool": True, "str": "1", "huge": 10**400}
     if row.integer:
-        values.update(bool=True, float=float(row.low))
+        values["float"] = float(row.low)
     if row.high < math.inf:
         values["high"] = row.high
     return values
@@ -221,7 +220,7 @@ def in_tmp_path(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("row,value", cases(rejected))
 def test_rejected_naming_the_input(row, value):
-    with pytest.raises(ValueError, match=rf"^(key ')?{re.escape(row.name)}\b"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(row.name)}\b"):
         row.call(value)
 
 
@@ -237,6 +236,10 @@ def test_boundary_accepted(row, value):
         (("nu0", math.nan, 0.0), {"strict": True}, "nu0 must be a number in (0, inf), got nan"),
         (("delta", 1.0, 0.0, 1.0), {"strict": True}, "delta must be a number in (0, 1), got 1.0"),
         (("seed", True, 0), {"integer": True}, "seed must be an integer in [0, inf), got True"),
+        (("sigma", True, 0.0), {}, "sigma must be a number in [0, inf), got True"),
+        (("sigma", "0.1", 0.0), {}, "sigma must be a number in [0, inf), got '0.1'"),
+        pytest.param(("T", 2**1024, 1), {"integer": True}, f"T must be an integer in [1, inf), got {2**1024}",
+                     id="beyond-the-largest-float"),
     ],
 )
 def test_message_form(args, kw, message):
@@ -278,7 +281,12 @@ NOT_RANGES = [
     pytest.param(lambda: build_batch_grid(plus(a=1e308), 1, 2, 40),
                  r"a=1e\+308 puts batch 1's boundary \(a\^1 - 1\) T1 out of floating-point range", id="build_batch_grid.a"),
     pytest.param(lambda: build_batch_grid(plus(b=1e200), 1, 2, 40),
-                 r"b=1e\+200 puts batch 2's gap divisor b\^2 out of floating-point range", id="build_batch_grid.b"),
+                 r"a=2\.0 and b=1e\+200 put batch 2's gap divisor b\^2 out of floating-point range", id="build_batch_grid.b"),
+    pytest.param(lambda: build_batch_grid(plus(T1=27, a=1.001, b=1.5), 1, 2, 1971),  # a near 1: one-round batches
+                 r"a=1\.001 and b=1\.5 put batch 1751's gap divisor b\^1751 out of floating-point range",
+                 id="build_batch_grid.a-near-one"),
+    pytest.param(lambda: conf_radius(LinearUcbState(2, 2.0), UCB), "config lambda 1.0 does not match state lambda 2.0",
+                 id="conf_radius.lambda"),
     pytest.param(lambda: make_agent(object(), 1, 2, 10), "unknown agent config type object", id="make_agent.cfg"),
 ]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relu_bandits import ReluNetwork, UcbConfig
-from relu_bandits.linear_ucb import LAMBDA_MIN, REFACTOR_EVERY, LinearUcbState, conf_radius, ridge_update, ucb_select
+from relu_bandits.linear_ucb import DELTA_MIN, LAMBDA_MIN, REFACTOR_EVERY, LinearUcbState, conf_radius, ridge_update, ucb_select
 from relu_bandits.relu_model import _row_sum, sign_robust_features_batch
 
 from oracles import (
@@ -25,6 +25,14 @@ class TestUcbConfigValidation:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             UcbConfig(sigma=0.1, S=1.0, delta=1.0, lam=1.0)
+
+    def test_delta_floor_is_the_last_float_with_an_infinite_reciprocal(self):
+        # the radius takes log(1/delta): the open floor admits exactly the deltas whose reciprocal is finite
+        assert 1.0 / DELTA_MIN == math.inf
+        with pytest.raises(ValueError, match=r"^delta must be a number in \(5\.56268e-309, 1\)"):
+            UcbConfig(sigma=0.1, S=1.0, delta=DELTA_MIN)
+        cfg = UcbConfig(sigma=0.1, S=1.0, delta=math.nextafter(DELTA_MIN, 1.0))
+        assert math.isfinite(conf_radius(LinearUcbState(2), cfg))
 
     def test_bad_S(self):
         with pytest.raises(ValueError):
