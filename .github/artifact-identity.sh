@@ -12,11 +12,12 @@
 # schedule, which no shipped config runs: one block whose small C1 and C2 give
 # non-empty windows, and the default block, which never fits.
 # estimate runs on two small configs at two seeds.  Last, simulate and
-# estimate run on twenty-six configs that each break one checked input: seven
+# estimate run on twenty-seven configs that each break one checked input: seven
 # by a finite value whose bound or batch-grid arithmetic leaves the float
-# range, and nine by a JSON value that is not a number in the float range of
-# the asked kind (a float for an integer, a string, a bool, NaN, Infinity or
-# an integer beyond the largest float); their stdout (empty) and exit code (2)
+# range, nine by a JSON value that is not a number in the float range of the
+# asked kind (a float for an integer, a string, a bool, NaN, Infinity or an
+# integer beyond the largest float), and one by a JSON integer of 4,401
+# digits, more than Python converts; their stdout (empty) and exit code (2)
 # must match, while stderr, the message, may change.
 # Prints one ::warning:: per output that differs or run that fails, then a
 # count for each kind; always exits 0.
@@ -132,6 +133,9 @@ bad = {
 }
 for name, cfg in bad.items():
     json.dump(cfg, open(f"{sys.argv[1]}/bad-{name}.json", "w"))
+# written as raw text, since json.dump cannot encode an integer of over 4300 digits
+with open(f"{sys.argv[1]}/bad-sim-seed-digits.json", "w") as fh:
+    fh.write(json.dumps(dict(sim, seed=0)).replace('"seed": 0', '"seed": 1' + "0" * 4400))
 EOF
 same=0
 total=0

@@ -5,19 +5,19 @@ unit rows and ``observe(y)`` for the chosen row's reward, and the two must
 strictly alternate (RuntimeError otherwise).  One agent instance serves one
 trial; distinct trials never share state.
 
-Policies:
+Policies, each built on the one before it, as the paper describes OFU-ReLU:
 
-* ``OfuReluAgent``: the paper's two ReLU algorithms as one policy: explore
-  uniformly, fit the ReLU model by ERM on the explored rows, then run the
-  linear UCB engine on the sign-robust lifted features of the
-  margin-restricted arm set, along a per-round phase plan resolved once from
-  the config.  OFU-ReLU (``OfuReluConfig``) is one batch [0, T] that
-  explores t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``) needs no
-  gap knowledge: a geometric batch grid shrinks the assumed gap batch by
-  batch and refits once per non-empty exploration window.
-* ``OfulAgent``: plain linear UCB on the raw d-dimensional arms, the
-  deliberately misspecified baseline.
-* ``RandomAgent``: uniform choice, the sanity floor.
+* ``RandomAgent``: uniform choice, the sanity floor; it holds the protocol.
+* ``OfulAgent``: linear UCB (OFUL) on the rows it is given; on the raw
+  d-dimensional arms it is the deliberately misspecified baseline.
+* ``OfuReluAgent``: the paper's two ReLU algorithms as one policy: it
+  explores as ``RandomAgent``, fits the ReLU model by ERM on the explored
+  rows, then runs as ``OfulAgent`` on the 2kd sign-robust lifted features
+  of the margin-restricted arm set, along a per-round phase plan resolved
+  once from the config.  OFU-ReLU (``OfuReluConfig``) is one batch [0, T]
+  that explores t0 rounds at gap nu; OFU-ReLU+ (``OfuReluPlusConfig``)
+  needs no gap knowledge: a geometric batch grid shrinks the assumed gap
+  batch by batch and refits once per non-empty exploration window.
 
 Agents never see the true parameters: the sign-corrected parameter vector is
 a test-side oracle only.  What the UCB phase learns is its feature-space
@@ -151,12 +151,11 @@ def build_batch_grid(cfg: OfuReluPlusConfig, k: int, d: int, T: int) -> BatchGri
     return BatchGrid(M=M, boundaries=tuple(boundaries), nus=tuple(nus), explore_sizes=sizes)
 
 
-class _SequentialAgent:
-    """Protocol bookkeeping: enforces the select/observe alternation."""
+class RandomAgent:
+    """Uniform choice, the sanity floor, and the select/observe protocol every agent inherits."""
 
-    label: str = "agent"
-
-    def __init__(self):
+    def __init__(self, cfg: RandomConfig = RandomConfig()):
+        self.label = cfg.label
         self._t = 0  # rounds completed
         self._pending: np.ndarray | None = None  # the chosen row awaiting its reward
 
@@ -176,18 +175,6 @@ class _SequentialAgent:
         self._t += 1
         self._observe(self._t, action, float(y))
 
-    def _select(self, arms: np.ndarray, rng: np.random.Generator, t: int) -> int:
-        raise NotImplementedError
-
-    def _observe(self, t: int, action: np.ndarray, reward: float) -> None:
-        raise NotImplementedError
-
-
-class RandomAgent(_SequentialAgent):
-    def __init__(self, cfg: RandomConfig = RandomConfig()):
-        super().__init__()
-        self.label = cfg.label
-
     def _select(self, arms, rng, t):
         return int(rng.integers(len(arms)))
 
@@ -195,50 +182,33 @@ class RandomAgent(_SequentialAgent):
         pass
 
 
-class OfulAgent(_SequentialAgent):
-    """Linear UCB on the raw arms; misspecified on purpose for ReLU rewards."""
+class OfulAgent(RandomAgent):
+    """Linear UCB on the rows it is given, with ``ridge`` its live state, updated in place."""
 
-    def __init__(self, d: int, cfg: OfulConfig):
-        super().__init__()
-        self.label = cfg.label
+    def __init__(self, dim: int, cfg: OfulConfig | OfuReluConfig | OfuReluPlusConfig):
+        super().__init__(cfg)
         self._cfg = cfg
-        self._ridge = LinearUcbState(d, cfg.ucb.lam)
-
-    @property
-    def ridge(self) -> LinearUcbState:
-        """The live ridge state, which the agent updates in place."""
-        return self._ridge
+        self.ridge = LinearUcbState(dim, cfg.ucb.lam)
 
     def _select(self, arms, rng, t):
-        return ucb_select(self._ridge, self._cfg.ucb, arms)
+        return ucb_select(self.ridge, self._cfg.ucb, arms)
 
     def _observe(self, t, action, reward):
-        ridge_update(self._ridge, action, reward)
+        ridge_update(self.ridge, action, reward)
 
 
-def _resolve_schedule(cfg: OfuReluConfig | OfuReluPlusConfig, k: int, d: int, T: int) -> tuple[BatchGrid, int]:
-    """The batch grid a ReLU config runs, and the first history row its ridge replays.
-
-    OFU-ReLU is one batch [0, T] at gap nu whose window explores t0 rounds
-    (clamped to T).  Its t0 exploration rows feed the fit only, so its ridge
-    starts at round t0 + 1; OFU-ReLU+ replays every round.
-    """
-    if isinstance(cfg, OfuReluConfig):
-        t0 = min(cfg.t0, T)
-        return BatchGrid(M=1, boundaries=(0, T), nus=(cfg.nu,), explore_sizes=(t0,)), t0
-    return build_batch_grid(cfg, k, d, T), 0
-
-
-class OfuReluAgent(_SequentialAgent):
+class OfuReluAgent(OfulAgent):
     """Explore, fit the ReLU neurons, then UCB over sign-robust features, batch by batch.
 
-    One agent runs both ReLU configs (OFU-ReLU is the one-batch case of
-    OFU-ReLU+) along a phase plan that the constructor resolves from the
-    batch grid ``_resolve_schedule`` returns, one entry per round:
+    One agent runs both ReLU configs along a phase plan that the constructor
+    resolves from the batch grid, one entry per round.  OFU-ReLU is the
+    one-batch case of OFU-ReLU+: one batch [0, T] at gap nu whose window
+    explores t0 rounds (clamped to T); those rows feed the fit only, so its
+    ridge replays the history from round t0 + 1, OFU-ReLU+'s from round 1.
 
-    * explore: the first explore_sizes[i] rounds of batch i sample
-      uniformly, and so does every round before the first window, having no
-      fit to select with (counted in ``forced_exploration_rounds``);
+    * explore: the first explore_sizes[i] rounds of batch i choose as
+      ``RandomAgent`` does, and so does every round before the first window,
+      having no fit to select with (counted in ``forced_exploration_rounds``);
     * refit: the last round of each nonempty window refits the model on every
       explored round so far (after the first fit, from the current estimate:
       ``fit_erm``'s warm path) and rebuilds the 2kd ridge state as one block
@@ -246,16 +216,22 @@ class OfuReluAgent(_SequentialAgent):
     * margin: any other round of batch i is a UCB round.  It projects the
       offered arms on the estimate once and keeps those with margin nu_i/2
       in that projection, or all of them when none has (counted in
-      ``fallback_rounds``); the lift reads the same projection.  Its row then
-      enters the ridge, so at every UCB round the state equals the replay.
+      ``fallback_rounds``); the lift reads the same projection, and
+      ``OfulAgent`` selects a lifted row and absorbs it, so at every UCB
+      round the ridge equals the replay.
+
+    ``estimate`` is the current fit (None before the first); each refit
+    replaces ``ridge``.
     """
 
     def __init__(self, k: int, d: int, T: int, cfg: OfuReluConfig | OfuReluPlusConfig):
-        super().__init__()
-        self.label = cfg.label
-        self._k, self._d = k, d
-        self._cfg = cfg
-        self.grid, self._replay_start = _resolve_schedule(cfg, k, d, T)
+        super().__init__(2 * k * d, cfg)
+        self._k = k
+        if isinstance(cfg, OfuReluConfig):
+            self._replay_start = min(cfg.t0, T)  # the first history row the ridge replays
+            self.grid = BatchGrid(M=1, boundaries=(0, T), nus=(cfg.nu,), explore_sizes=(self._replay_start,))
+        else:
+            self.grid, self._replay_start = build_batch_grid(cfg, k, d, T), 0
         # the phase plan, indexed by round t - 1: explore or select, and the UCB margin; plus the rounds that refit
         windows = [(start, start + size) for start, size in zip(self.grid.boundaries, self.grid.explore_sizes) if size]
         self._unfitted = windows[0][0] if windows else T  # the rounds before the first window
@@ -264,21 +240,11 @@ class OfuReluAgent(_SequentialAgent):
             self._explore[start:end] = True
         self._refits = {end for _, end in windows}
         self._margins = np.repeat(np.array(self.grid.nus) / 2.0, np.diff(self.grid.boundaries))
-        self._estimate: ReluNetwork | None = None
-        self._ridge = LinearUcbState(2 * k * d, cfg.ucb.lam)
+        self.estimate: ReluNetwork | None = None
         self._pending_features: np.ndarray | None = None
         self._actions = np.empty((T, d))
         self._rewards = np.empty(T)
         self.fallback_rounds = 0
-
-    @property
-    def estimate(self) -> ReluNetwork | None:
-        return self._estimate
-
-    @property
-    def ridge(self) -> LinearUcbState:
-        """The live ridge state: updated in place, replaced at each refit."""
-        return self._ridge
 
     @property
     def pool_size(self) -> int:
@@ -296,8 +262,8 @@ class OfuReluAgent(_SequentialAgent):
 
     def _select(self, arms, rng, t):
         if self._explore[t - 1]:
-            return int(rng.integers(len(arms)))
-        proj = arms @ self._estimate.weights.T  # one projection serves the filter and the lift
+            return RandomAgent._select(self, arms, rng, t)
+        proj = arms @ self.estimate.weights.T  # one projection serves the filter and the lift
         mask = margin_mask(proj, self._margins[t - 1])
         kept = np.flatnonzero(mask)
         if len(kept) == len(arms):
@@ -308,7 +274,7 @@ class OfuReluAgent(_SequentialAgent):
         else:
             arms, proj = arms.take(kept, axis=0), proj.take(kept, axis=0)
         feats = sign_robust_features_batch(arms, proj)
-        j = ucb_select(self._ridge, self._cfg.ucb, feats)
+        j = super()._select(feats, rng, t)
         self._pending_features = feats[j]
         return j if kept is None else int(kept[j])
 
@@ -317,25 +283,25 @@ class OfuReluAgent(_SequentialAgent):
         self._rewards[t - 1] = reward
         if self._pending_features is not None:
             # a UCB round: absorb under the current estimate
-            ridge_update(self._ridge, self._pending_features, reward)
+            super()._observe(t, self._pending_features, reward)
             self._pending_features = None
         elif t in self._refits:
             self._refit()
 
     def _refit(self):
         X, y, explored = self._actions[: self._t], self._rewards[: self._t], self._explore[: self._t]
-        self._estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit, init=self._estimate)
-        self._ridge = LinearUcbState(2 * self._k * self._d, self._cfg.ucb.lam)
+        self.estimate = fit_erm(X[explored], y[explored], self._k, self._cfg.fit, init=self.estimate)
+        self.ridge = LinearUcbState(self.ridge.dim, self.ridge.lam)
         start = self._replay_start
         if start < self._t:  # OFU-ReLU replays nothing; OFU-ReLU+ absorbs its whole replay as one block
             rows = X[start:]  # off the UCB path, so the lift needs no margin filter
-            ridge_update(self._ridge, sign_robust_features_batch(rows, rows @ self._estimate.weights.T), y[start:])
+            ridge_update(self.ridge, sign_robust_features_batch(rows, rows @ self.estimate.weights.T), y[start:])
 
 
 AgentConfig = OfuReluConfig | OfuReluPlusConfig | OfulConfig | RandomConfig
 
 
-def make_agent(cfg: AgentConfig, k: int, d: int, T: int) -> _SequentialAgent:
+def make_agent(cfg: AgentConfig, k: int, d: int, T: int) -> RandomAgent:
     """Instantiate the agent a config block describes, for a (k, d, T) run."""
     if isinstance(cfg, (OfuReluConfig, OfuReluPlusConfig)):
         return OfuReluAgent(k, d, T, cfg)

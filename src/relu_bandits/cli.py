@@ -182,8 +182,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # invalid JSON, or an integer of more digits than Python converts
+        raise ValueError(f"cannot parse config {path}: {exc}") from exc
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 

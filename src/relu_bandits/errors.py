@@ -27,8 +27,16 @@ def _require(name: str, value, low, high=math.inf, *, integer: bool = False, str
 
     The value must be a real number, not a bool, within the float range, and
     with ``integer`` it must pass ``_is_int``.  NaN and +inf fail the range.
+    The message names an integer beyond the float range by its digit count.
     """
     number = _is_int(value) if integer else isinstance(value, Real) and not isinstance(value, bool)
     if not (number and _fits_float(value) and (low < value if strict else low <= value) and value < high):
         kind = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {kind} in {'(' if strict else '['}{low:g}, {high:g}), got {value!r}")
+        if _is_int(value) and not _fits_float(value):  # by its digit count: repr() refuses over 4300 digits
+            n = abs(value)
+            digits = int(math.log10(n)) + 1  # the float log may be one off near a power of ten
+            digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+            got = f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+        else:
+            got = repr(value)
+        raise ValueError(f"{name} must be {kind} in {'(' if strict else '['}{low:g}, {high:g}), got {got}")

@@ -9,7 +9,7 @@ Streams: an experiment draws everything from one master seed, and every
 stream is ``_stream(seed, trial, tag)``, a SeedSequence((seed, trial, tag)):
 - tag 0 draws the trial's instance;
 - tag 1 is the trial's environment, which run_trial splits into arm sets,
-  reward noise and agent tie-breaking/exploration.
+  reward noise and agent exploration (no agent breaks ties with it).
 So every algorithm of a trial sees the same instance, arm sets and noise
 (common random numbers), and results do not depend on the worker count.
 """

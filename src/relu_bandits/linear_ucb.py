@@ -11,8 +11,8 @@ A state has one owner, which updates it in place with ``ridge_update``; an
 owner that must start over (an agent refitting its features) builds a fresh
 state and absorbs its whole replay as one block of rows, which adds the
 block's Gram and moment sums and re-factorizes once: OFUL needs only V, b and
-log det V.  The engine is policy-free; callers choose delta per phase (the
-agents here pass 1/sqrt(T)).
+log det V.  The engine is policy-free; callers pass their UcbConfig (the
+agents pass ``cfg.ucb``, whose delta the CLI defaults to 1/sqrt(T)).
 """
 
 from __future__ import annotations

@@ -220,19 +220,30 @@ class TestOfuReluAgent:
             agent.observe(float(eval_f_batch(truth, arms)[idx]))
         assert agent.estimate is not None
 
-    @pytest.mark.parametrize("t0", [12, 17])
-    def test_degenerate_t0_equals_T(self, t0, patch_trial):
-        # never leaves the exploration phase: picks match a plain random agent;
-        # the window is clamped to T = 12, so the fit still runs at round T
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(OfuReluConfig(t0=12, ucb=UCB, fit=FIT), id="12"),
+            pytest.param(OfuReluConfig(t0=17, ucb=UCB, fit=FIT), id="17"),
+            pytest.param(plus_config((0, 0)), id="plus-never-fits"),
+        ],
+    )
+    def test_degenerate_t0_equals_T(self, cfg, patch_trial):
+        # never leaves the exploration phase: picks match a plain random agent.
+        # OFU-ReLU's window is clamped to T = 12, so the fit still runs at
+        # round T; an OFU-ReLU+ grid of two batches (T1 = 10) whose windows are
+        # all empty never fits and explores every round for want of a fit
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
         inst = Instance(truth=truth, sigma=0.0)
-        agent = OfuReluAgent(1, 2, 12, OfuReluConfig(t0=t0, ucb=UCB, fit=FIT))
+        agent = OfuReluAgent(1, 2, 12, cfg)
         b = run_trial(inst, RandomConfig(), 12, 6, np.random.default_rng(7))
         patch_trial(agent=agent)
         a = run_trial(inst, None, 12, 6, np.random.default_rng(7))
         np.testing.assert_array_equal(a.chosen, b.chosen)
-        assert agent.estimate is not None and agent.ridge.count == 0
-        assert agent.forced_exploration_rounds == 0
+        fits = isinstance(cfg, OfuReluConfig)
+        assert (agent.estimate is not None) == fits and agent.ridge.count == 0
+        assert agent.grid.M == (1 if fits else 2)
+        assert agent.forced_exploration_rounds == (0 if fits else 12)
 
     def test_ridge_counts_only_post_t0(self, patch_trial):
         truth = ReluNetwork(np.array([[1.0, 0.0]]))
@@ -286,8 +297,8 @@ class _ReferenceSelectAgent(OfuReluAgent):
         if self._explore[t - 1]:
             return super()._select(arms, rng, t)
         idx, self._pending_features, fell_back = margin_ucb_select_reference(
-            arms, self._estimate.weights, self._margins[t - 1],
-            self._ridge.gram_inv @ self._ridge.moment, self._ridge.gram_inv, conf_radius(self._ridge, self._cfg.ucb),
+            arms, self.estimate.weights, self._margins[t - 1],
+            self.ridge.gram_inv @ self.ridge.moment, self.ridge.gram_inv, conf_radius(self.ridge, self._cfg.ucb),
         )
         self.fallback_rounds += fell_back
         return idx

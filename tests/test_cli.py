@@ -354,7 +354,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{key} must be an integer in [" in captured.err
-        assert captured.err.endswith(f"got {HUGE_INT}\n")
+        assert captured.err.endswith("got an integer of 401 digits\n")  # by its digit count, not its digits
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -477,6 +477,16 @@ class TestSimulate:
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+    def test_integer_over_the_digit_limit_exit2_naming_the_file(self, tmp_path, capsys):
+        # written as raw text: json.dump cannot encode an integer of over 4300 digits, nor json.load read one
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(TINY, seed=0)).replace('"seed": 0', '"seed": 1' + "0" * 4400))
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot parse config {p}: ")
+        assert "4300" in captured.err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_fit_seed_exit2_before_output(self, tmp_path, capsys):
         # unchecked, numpy's generator rejects it only at the first fit (round 21), naming no key

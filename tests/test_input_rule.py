@@ -238,8 +238,16 @@ def test_boundary_accepted(row, value):
         (("seed", True, 0), {"integer": True}, "seed must be an integer in [0, inf), got True"),
         (("sigma", True, 0.0), {}, "sigma must be a number in [0, inf), got True"),
         (("sigma", "0.1", 0.0), {}, "sigma must be a number in [0, inf), got '0.1'"),
-        pytest.param(("T", 2**1024, 1), {"integer": True}, f"T must be an integer in [1, inf), got {2**1024}",
+        pytest.param(("T", 2**1024, 1), {"integer": True}, "T must be an integer in [1, inf), got an integer of 309 digits",
                      id="beyond-the-largest-float"),
+        pytest.param(("k", 10**400, 1), {"integer": True}, "k must be an integer in [1, inf), got an integer of 401 digits",
+                     id="a-power-of-ten"),
+        pytest.param(("k", 10**400 - 1, 1), {"integer": True},
+                     "k must be an integer in [1, inf), got an integer of 400 digits", id="below-a-power-of-ten"),
+        pytest.param(("sigma", -(10**400), 0.0), {}, "sigma must be a number in [0, inf), got a negative integer of 401 digits",
+                     id="negative"),
+        pytest.param(("T", 10**5000, 1), {"integer": True}, "T must be an integer in [1, inf), got an integer of 5001 digits",
+                     id="over-the-str-limit"),
     ],
 )
 def test_message_form(args, kw, message):
