@@ -10,7 +10,9 @@
 # of this checkout's configs with trials set to TRIALS (default: as shipped).
 # So does a fig2a-shape OFU-ReLU+ config on the theoretical exploration
 # schedule, which no shipped config runs: one block whose small C1 and C2 give
-# non-empty windows, and the default block, which never fits.
+# non-empty windows, and the default block, which never fits; beside them run
+# an all-default OFUL and OFU-ReLU block (name only), so that a default that
+# moves shows as an artifact difference.
 # estimate runs on two small configs at two seeds.  Last, simulate and
 # estimate run on twenty-seven configs that each break one checked input: seven
 # by a finite value whose bound or batch-grid arithmetic leaves the float
@@ -37,6 +39,8 @@ cfg = json.load(open(sys.argv[1]))
 cfg["algorithms"] = [
     {"name": "ofu_relu_plus", "label": "plus_schedule", "nu0": 0.5, "C1": 4e-9, "C2": 1e-9},
     {"name": "ofu_relu_plus", "label": "plus_default"},
+    {"name": "oful"},
+    {"name": "ofu_relu"},
 ]
 json.dump(cfg, open(sys.argv[2], "w"))
 EOF

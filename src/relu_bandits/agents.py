@@ -37,7 +37,7 @@ from .linear_ucb import LinearUcbState, UcbConfig, ridge_update, ucb_select
 from .relu_model import ReluNetwork, margin_mask, sign_robust_features_batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OfuReluConfig:
     """t0 exploration rounds, then UCB over features frozen at the one fit.
 
@@ -46,9 +46,9 @@ class OfuReluConfig:
     gap is unknown there.
     """
 
-    t0: int
     ucb: UcbConfig
     fit: FitConfig
+    t0: int = 20
     nu: float = 0.0
     label: str = "ofu_relu"
 
@@ -57,7 +57,7 @@ class OfuReluConfig:
         _require("nu", self.nu, 0.0)  # an infinite gap would filter every arm out every round
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OfuReluPlusConfig:
     """Batched variant: initial gap guess nu0 shrunk by b per batch.
 
@@ -66,12 +66,12 @@ class OfuReluPlusConfig:
     ``practical_override`` supplies per-batch lengths (each clamped to its batch).
     """
 
-    nu0: float
-    T1: int
-    a: float
-    b: float
     ucb: UcbConfig
     fit: FitConfig
+    nu0: float = 1.0
+    T1: int = 10
+    a: float = 2.0
+    b: float = 2.0 ** (1.0 / 32.0)
     C1: float = 1.0
     C2: float = 1.0
     practical_override: tuple[int, ...] | None = None
@@ -91,13 +91,13 @@ class OfuReluPlusConfig:
             object.__setattr__(self, "practical_override", tuple(int(v) for v in sizes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OfulConfig:
     ucb: UcbConfig
     label: str = "oful"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RandomConfig:
     label: str = "random"
 

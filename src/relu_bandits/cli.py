@@ -30,18 +30,24 @@ REQUIRED = object()  # table default of a key the block must set
 def _ucb_table(s_factor: float) -> dict:
     """The UCB keys every linear-UCB algorithm shares; S defaults to sqrt(s_factor * k)."""
     return {
-        "lambda": (float, 1.0),
+        "lambda": (float, UcbConfig.lam),
         "S": (float, lambda k, T, sigma: math.sqrt(s_factor * k)),
         "delta": (float, lambda k, T, sigma: 1.0 / math.sqrt(T) if T >= 2 else 0.5),
         "ucb_sigma": (float, lambda k, T, sigma: sigma),
     }
 
 
+def _own(cls) -> dict:
+    """A config class's own keys, kind and default read off its fields; a None default takes a list."""
+    own = [f for f in fields(cls) if f.name not in ("ucb", "fit")]
+    return {f.name: (type(f.default) if f.default is not None else list, f.default) for f in own}
+
+
 # One table per JSON block: key -> (kind, default).  A kind is int, float,
 # str, list or a nested table; a callable default is evaluated at the
 # checked (k, T, sigma).  ``_parse`` resolves a block against its table, and
 # the result is both what the objects are built from and the echo.
-FIT = {f.name: (type(f.default), f.default) for f in fields(FitConfig)}
+FIT = _own(FitConfig)
 INSTANCE = {
     "k": (int, REQUIRED), "d": (int, REQUIRED), "sigma": (float, 0.1), "alpha0": (float, 0.0), "seed": (int, 0),
 }
@@ -54,21 +60,12 @@ EXPERIMENT = {
     "algorithms": (list, REQUIRED),
 }
 ESTIMATE = {**INSTANCE, "sample_sizes": (list, [20, 100, 500]), "delta": (float, 0.05), "fit": (FIT, None)}
+# name -> (config class, the UCB and fit keys that its ``ucb`` and ``fit`` fields add)
 ALGORITHMS = {
-    "random": {},
-    "oful": _ucb_table(1.0),
-    "ofu_relu": {"t0": (int, 20), "nu": (float, 0.0), **_ucb_table(5.0), "fit": (FIT, None)},
-    "ofu_relu_plus": {
-        "nu0": (float, 1.0),
-        "T1": (int, 10),
-        "a": (float, 2.0),
-        "b": (float, 2.0 ** (1.0 / 32.0)),
-        "C1": (float, 1.0),
-        "C2": (float, 1.0),
-        "practical_override": (list, None),
-        **_ucb_table(5.0),
-        "fit": (FIT, None),
-    },
+    "random": (RandomConfig, {}),
+    "oful": (OfulConfig, _ucb_table(1.0)),
+    "ofu_relu": (OfuReluConfig, {**_ucb_table(5.0), "fit": (FIT, None)}),
+    "ofu_relu_plus": (OfuReluPlusConfig, {**_ucb_table(5.0), "fit": (FIT, None)}),
 }
 
 
@@ -109,17 +106,6 @@ def _parse(block, table: dict, where: str, ctx: tuple = ()) -> dict:
     return out
 
 
-def _parse_algorithm(block, where: str, ctx: tuple) -> dict:
-    if not isinstance(block, dict):
-        raise ValueError(f"{where} must be an object")
-    if "name" not in block:
-        raise ValueError(f"missing required key 'name' in {where}")
-    name = block["name"]
-    if not (isinstance(name, str) and name in ALGORITHMS):
-        raise ValueError(f"unknown algorithm name {name!r} in {where}")
-    return _parse(block, {"name": (str, REQUIRED), "label": (str, name), **ALGORITHMS[name]}, where, ctx)
-
-
 def _fit_config(p: dict, where: str) -> FitConfig:
     """Build a FitConfig from a resolved fit block, naming the block in its range errors."""
     try:
@@ -128,23 +114,37 @@ def _fit_config(p: dict, where: str) -> FitConfig:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _build_algorithm(p: dict, fit: FitConfig | None, k: int, d: int, T: int) -> AgentConfig:
-    if p["name"] == "random":
-        return RandomConfig(label=p["label"])
-    ucb = UcbConfig(sigma=p["ucb_sigma"], S=p["S"], delta=p["delta"], lam=p["lambda"])
-    if p["name"] == "oful":
-        return OfulConfig(ucb=ucb, label=p["label"])
-    if p["name"] == "ofu_relu":
-        return OfuReluConfig(t0=p["t0"], nu=p["nu"], ucb=ucb, fit=fit, label=p["label"])
-    cfg = OfuReluPlusConfig(
-        nu0=p["nu0"], T1=p["T1"], a=p["a"], b=p["b"], ucb=ucb, fit=fit, C1=p["C1"], C2=p["C2"],
-        practical_override=p["practical_override"], label=p["label"],
-    )
-    grid = build_batch_grid(cfg, k, d, T)  # a bad grid fails here, before any output is written
-    if not any(grid.explore_sizes):
-        print(f"warning: every exploration window of {p['label']}'s batch grid is empty: "
-              f"it never fits and explores at random for all {T} rounds", file=sys.stderr)
-    return cfg
+def _parse_algorithm(block, where: str, k: int, d: int, T: int, sigma: float) -> tuple[dict, AgentConfig]:
+    """Resolve an algorithm block into its echo and build its config: the class's own keys, plus ucb and fit."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be an object")
+    if "name" not in block:
+        raise ValueError(f"missing required key 'name' in {where}")
+    name = block["name"]
+    if not (isinstance(name, str) and name in ALGORITHMS):
+        raise ValueError(f"unknown algorithm name {name!r} in {where}")
+    cls, adds = ALGORITHMS[name]
+    own = _own(cls)
+    p = _parse(block, {"name": (str, REQUIRED), **own, **adds}, where, (k, T, sigma))
+    kwargs = {key: p[key] for key in own}
+    if "fit" in p:
+        kwargs["fit"] = _fit_config(p["fit"], f"{where}.fit")
+    try:  # invariant and grid errors carry no location
+        if "ucb_sigma" in p:
+            kwargs["ucb"] = UcbConfig(sigma=p["ucb_sigma"], S=p["S"], delta=p["delta"], lam=p["lambda"])
+        cfg = cls(**kwargs)
+        if cls is OfuReluPlusConfig:  # a bad grid fails here, before any output is written
+            grid = build_batch_grid(cfg, k, d, T)
+            surplus = len(cfg.practical_override or ()) - grid.M
+            if not any(grid.explore_sizes):
+                print(f"warning: every exploration window of {cfg.label}'s batch grid is empty: "
+                      f"it never fits and explores at random for all {T} rounds", file=sys.stderr)
+            if surplus > 0:
+                print(f"warning: {cfg.label}'s practical_override has {grid.M + surplus} entries but its batch "
+                      f"grid has {grid.M} batches: the last {surplus} are never used", file=sys.stderr)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    return p, cfg
 
 
 def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_override: str | None = None) -> ExperimentConfig:
@@ -153,6 +153,8 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
         p["seed"] = seed_override
     if out_override is not None:
         p["out_dir"] = out_override
+    if not p["out_dir"]:
+        raise ValueError("'out_dir' must be a nonempty path")
     k, d, T, sigma = p["k"], p["d"], p["T"], p["sigma"]
     _check_instance(k, d, p["alpha0"], sigma)
     _require("T", T, 1, integer=True)
@@ -161,21 +163,15 @@ def parse_experiment_config(raw: dict, *, seed_override: int | None = None, out_
     _require("seed", p["seed"], 0, integer=True)
     if not p["algorithms"]:
         raise ValueError("'algorithms' must be a nonempty list")
-    algos, echoes = [], []
-    for i, blk in enumerate(p["algorithms"]):
-        where = f"algorithms[{i}]"
-        echoes.append(_parse_algorithm(blk, where, (k, T, sigma)))
-        fit = _fit_config(echoes[-1]["fit"], f"{where}.fit") if "fit" in echoes[-1] else None
-        try:
-            algos.append(_build_algorithm(echoes[-1], fit, k, d, T))
-        except ValueError as exc:  # invariant and grid errors carry no location
-            raise ValueError(f"{where}: {exc}") from exc
+    built = [_parse_algorithm(blk, f"algorithms[{i}]", k, d, T, sigma) for i, blk in enumerate(p["algorithms"])]
+    p["algorithms"], algos = [echo for echo, _ in built], tuple(cfg for _, cfg in built)
     labels = [a.label for a in algos]
+    if "" in labels:  # a blank label would leave traces.csv's algorithm column empty
+        raise ValueError(f"algorithms[{labels.index('')}]: 'label' must be a nonempty string")
     if len(set(labels)) != len(labels):
         raise ValueError("algorithm labels must be unique (set 'label' to disambiguate)")
-    p["algorithms"] = echoes
     # the top-level keys are ExperimentConfig's fields
-    return ExperimentConfig(**{**p, "algorithms": tuple(algos)}, echo=p)
+    return ExperimentConfig(**{**p, "algorithms": algos}, echo=p)
 
 
 def _load_json(path: str) -> dict:

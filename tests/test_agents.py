@@ -32,6 +32,20 @@ def plus_config(override, nu0=1.0, T1=10, a=2.0, b=2.0, ucb=UCB):
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RandomConfig("random"),
+            lambda: OfulConfig(UCB),
+            lambda: OfuReluConfig(20, UCB, FIT),
+            lambda: OfuReluPlusConfig(1.0, 10, 2.0, 2.0, UCB, FIT),
+        ],
+        ids=["random", "oful", "ofu_relu", "ofu_relu_plus"],
+    )
+    def test_agent_configs_are_keyword_only(self, build):
+        with pytest.raises(TypeError, match="positional argument"):
+            build()
+
     def test_t0_floor(self):
         with pytest.raises(ValueError):
             OfuReluConfig(t0=0, ucb=UCB, fit=FIT)

@@ -12,6 +12,7 @@ import pytest
 
 import relu_bandits
 from relu_bandits import agents, cli, harness, linear_ucb, relu_model, reporting
+from relu_bandits import FitConfig, OfulConfig, OfuReluConfig, OfuReluPlusConfig, RandomConfig, UcbConfig
 from relu_bandits.cli import main, parse_experiment_config, run_experiment
 
 from oracles import (
@@ -180,6 +181,24 @@ class TestConfigEcho:
         echo = parse_experiment_config(raw).echo
         # sorted JSON tells 2 from 2.0 and None from a missing key
         assert json.dumps(echo, sort_keys=True) == json.dumps(GOLDEN_ECHO[name], sort_keys=True)
+
+
+class TestOneOwner:
+    """Each agent config owns its defaults: a block that sets only its name builds the class's defaults."""
+
+    @pytest.mark.parametrize("name", list(cli.ALGORITHMS))
+    def test_name_only_block_builds_the_class_defaults(self, name):
+        cfg = parse_experiment_config(dict(TINY, algorithms=[{"name": name}])).algorithms[0]
+        k, T = TINY["k"], TINY["T"]
+        s_factor = 1.0 if name == "oful" else 5.0
+        ucb = UcbConfig(sigma=TINY["sigma"], S=math.sqrt(s_factor * k), delta=1.0 / math.sqrt(T))
+        expected = {
+            "random": RandomConfig(),
+            "oful": OfulConfig(ucb=ucb),
+            "ofu_relu": OfuReluConfig(ucb=ucb, fit=FitConfig()),
+            "ofu_relu_plus": OfuReluPlusConfig(ucb=ucb, fit=FitConfig()),
+        }
+        assert cfg == expected[name]
 
 
 # the fig2a shape (2kd = 12) with every algorithm, OFU-ReLU+ on a practical grid
@@ -376,11 +395,12 @@ class TestSimulate:
             ({"name": "ofu_relu_plus", "T1": 8, "C2": -1.0}, "algorithms[0]: C2 must be a number in (0, inf), got -1.0"),
             ({"name": "ofu_relu_plus", "T1": 8, "C1": math.nan}, "algorithms[0]: C1 must be a number in (0, inf), got nan"),
             ({"name": "ofu_relu_plus", "T1": 8, "C2": math.nan}, "algorithms[0]: C2 must be a number in (0, inf), got nan"),
+            ({"name": "oful", "label": ""}, "algorithms[0]: 'label' must be a nonempty string"),  # a blank CSV column
         ],
         ids=[
             "fit-type", "fit-unknown-key", "fit-range", "T-below-T1", "override-too-short",
             "nu0-underflow", "b-overflow", "a-overflow", "C1-overflow", "lambda-reciprocal", "lambda-tiny",
-            "delta-reciprocal", "C1-zero", "C2-negative", "C1-nan", "C2-nan",
+            "delta-reciprocal", "C1-zero", "C2-negative", "C1-nan", "C2-nan", "label-empty",
         ],
     )
     def test_bad_block_exit2_before_output(self, tmp_path, capsys, block, field):
@@ -412,6 +432,16 @@ class TestSimulate:
         parse_experiment_config(json.loads(plus_refit.read_text()))
         assert capsys.readouterr().err == ""
 
+    def test_surplus_practical_override_warns(self, capsys):
+        # T = 300 and T1 = 5 give 6 batches, so 2 of ALL_DEFAULTS' 8 entries never run; the echo keeps all 8
+        parse_experiment_config(ALL_DEFAULTS)
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert "warning: ofu_relu_plus's practical_override has 8 entries but its batch grid has 6 batches" in err
+        assert "the last 2 are never used" in err
+        parse_experiment_config(TINY)  # 3 entries for 3 batches
+        assert capsys.readouterr().err == ""
+
     def test_plus_schedule_reads_ucb_sigma_not_the_environment_sigma(self):
         # t0 grows with max(k, sigma)^2, so at k = 1 a noise level of 3 moves the grid; only ucb_sigma
         # (whose default is sigma) moves it, since no agent reads the environment
@@ -434,6 +464,16 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json", bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("where", ["config", "--out"])
+    def test_empty_out_dir_exit2_before_output(self, tmp_path, capsys, monkeypatch, where):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY, out_dir="") if where == "config" else TINY)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--config", cfg, "--jobs", "1"] + (["--out", ""] if where == "--out" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'out_dir' must be a nonempty path" in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_infeasible_alpha0_exit1(self, tmp_path, capsys):
         # 0.999 passes the planar bound 2 sin(pi/6) = 1, but almost no uniform
